@@ -482,60 +482,6 @@ let serve_bench ~out () =
                      (J.member "supervision"))
             | Error _ -> J.Null)
   in
-  (* ---- wire phase: JSON vs binary framing on the warm daemon ----
-     The same x264 record-mode request repeated on each wire, one quiet
-     sequential client per wire against the already-warm daemon, so the
-     measured difference is framing cost: on the JSON wire the recorded
-     trace rides base64-inside-JSON (encode, escape, re-lex, decode per
-     response); on the binary wire it rides as raw length-prefixed
-     bytes.  Gates on binary p50 <= JSON p50 (small tolerance for
-     scheduler noise). *)
-  let wire_repeats = 24 in
-  let wire_program, wire_mode =
-    match parsec_reqs with
-    | (_, text, mode) :: _ -> (text, mode)
-    | [] ->
-        prerr_endline "bench serve: no parsec programs for the wire phase";
-        exit 1
-  in
-  let wire_phase wire =
-    match C.connect ~wire ~endpoint:(C.Unix_socket path) () with
-    | Error e -> Error ("connect: " ^ e)
-    | Ok cl ->
-        Fun.protect
-          ~finally:(fun () -> C.close cl)
-          (fun () ->
-            let one () =
-              let s = Unix.gettimeofday () in
-              match
-                C.run cl ~record:true ~program:wire_program ~mode:wire_mode
-                  ~options ()
-              with
-              | Ok resp when P.response_ok resp ->
-                  Ok (Unix.gettimeofday () -. s)
-              | Ok resp ->
-                  Error
-                    (match P.response_error resp with
-                    | Some (c, m) -> c ^ ": " ^ m
-                    | None -> "refused")
-              | Error e -> Error e
-            in
-            (* Two untimed warmups absorb first-touch effects (connection
-               buffers, record-path code pages) before measuring. *)
-            match (one (), one ()) with
-            | Error e, _ | _, Error e -> Error e
-            | Ok _, Ok _ ->
-                let rec go n acc =
-                  if n = 0 then Ok (List.rev acc)
-                  else
-                    match one () with
-                    | Ok dt -> go (n - 1) (dt :: acc)
-                    | Error e -> Error e
-                in
-                go wire_repeats [])
-  in
-  let wire_json_lat = wire_phase P.Json in
-  let wire_binary_lat = wire_phase P.Binary in
   S.initiate_drain srv;
   Domain.join runner;
 
@@ -906,33 +852,6 @@ let serve_bench ~out () =
         ("max", J.Float (1000. *. pmax));
       ]
   in
-  let wire_p50 = function
-    | Ok sample ->
-        let p50, _, _, _ = pctls sample in
-        Some p50
-    | Error _ -> None
-  in
-  let wire_json_p50 = wire_p50 wire_json_lat
-  and wire_binary_p50 = wire_p50 wire_binary_lat in
-  let wire_pass =
-    match (wire_json_p50, wire_binary_p50) with
-    | Some j, Some b -> b <= j *. 1.05
-    | _ -> false
-  in
-  let wire_side_json = function
-    | Ok sample ->
-        let sum = List.fold_left ( +. ) 0. sample in
-        J.Obj
-          [
-            ("requests", J.Int (List.length sample));
-            ("latency_ms", latency_json sample);
-            ( "throughput_rps",
-              J.Float
-                (if sum > 0. then float_of_int (List.length sample) /. sum
-                 else 0.) );
-          ]
-    | Error e -> J.Obj [ ("error", J.String e) ]
-  in
   let served_rps =
     float_of_int (List.length latencies) /. served_wall
   in
@@ -954,7 +873,7 @@ let serve_bench ~out () =
   let warm_speedup = if oneshot_rps > 0. then warm_rps /. oneshot_rps else 0. in
   let ci_pass =
     refused = [] && dropped = [] && warm_speedup >= 1.0 && chaos_pass
-    && wire_pass && restart_pass
+    && restart_pass
   in
   let all_lat = List.map snd latencies in
   let json =
@@ -1009,21 +928,6 @@ let serve_bench ~out () =
               ("requests", J.Int (List.length one_round));
               ("wall_s", J.Float oneshot_wall);
               ("throughput_rps", J.Float oneshot_rps);
-            ] );
-        ( "wire",
-          J.Obj
-            [
-              ("program", J.String "x264");
-              ("mode", J.String (Arde.Config.mode_id wire_mode));
-              ("record", J.Bool true);
-              ("repeats", J.Int wire_repeats);
-              ("json", wire_side_json wire_json_lat);
-              ("binary", wire_side_json wire_binary_lat);
-              ( "json_over_binary_p50",
-                match (wire_json_p50, wire_binary_p50) with
-                | Some j, Some b when b > 0. -> J.Float (j /. b)
-                | _ -> J.Null );
-              ("pass", J.Bool wire_pass);
             ] );
         ( "restart",
           let round_json round =
@@ -1106,17 +1010,6 @@ let serve_bench ~out () =
     n_requests clients served_rps (1000. *. a50) (1000. *. a95) (1000. *. a99)
     warm_rps (1000. *. w95) oneshot_kind oneshot_rps warm_speedup
     overall_speedup;
-  (match (wire_json_p50, wire_binary_p50) with
-  | Some j, Some b ->
-      Printf.printf
-        "wire (x264, record, %d repeats): json p50 %.1f ms, binary p50 %.1f \
-         ms (%.2fx)\n"
-        wire_repeats (1000. *. j) (1000. *. b)
-        (if b > 0. then j /. b else 0.)
-  | _ ->
-      let err = function Error e -> e | Ok _ -> "ok" in
-      Printf.printf "wire phase failed: json %s, binary %s\n"
-        (err wire_json_lat) (err wire_binary_lat));
   Printf.printf
     "restart: store on — cold %.2f, warm %.2f, restart-warm %.2f req/s; \
      restart-cold (store off, first pass) %.2f req/s\n\
@@ -1139,12 +1032,11 @@ let serve_bench ~out () =
   if not ci_pass then begin
     Printf.eprintf
       "bench serve: FAIL: %d refused, %d dropped, warm speedup %.2fx, chaos \
-       %s, wire %s, restart %s (gate: 0 refused, 0 dropped, >= 1.0x, chaos \
-       pass, binary p50 <= json p50, restart-warm >= 0.8x warm and >= 2x \
-       restart-cold with identical results)\n"
+       %s, restart %s (gate: 0 refused, 0 dropped, >= 1.0x, chaos pass, \
+       restart-warm >= 0.8x warm and >= 2x restart-cold with identical \
+       results)\n"
       (List.length refused) (List.length dropped) warm_speedup
       (if chaos_pass then "pass" else "FAIL")
-      (if wire_pass then "pass" else "FAIL")
       (if restart_pass then "pass" else "FAIL");
     exit 1
   end

@@ -24,31 +24,18 @@ val parse_tcp_endpoint : string -> (endpoint, string) result
     to a [Tcp] endpoint — the parser behind [--connect]. *)
 
 val connect :
-  ?wire:Protocol.wire ->
   ?max_frame:int ->
   endpoint:endpoint ->
   unit ->
   (t, string) result
-(** [wire] (default [Json]) selects the request encoding for this
-    connection.  [Binary] performs the hello handshake: the server's
-    hello-ack mirrors its frame cap and this client resizes its decoder
-    to match, so responses up to the server's real limit are accepted.
-    [max_frame] (default {!Protocol.default_max_frame}) bounds response
-    frames until (and unless) a handshake overrides it — mirror the
-    server's [--max-frame-mb] here when talking JSON to a server with a
-    raised cap.  Responses decode by their own first byte, so callers
-    see canonical JSON response objects on either wire.  TCP
-    connections set [TCP_NODELAY] — the protocol is request/response
-    over small frames, which Nagle serves terribly. *)
+(** [max_frame] (default {!Protocol.default_max_frame}) bounds response
+    frames — mirror the server's [--max-frame-mb] here when talking to a
+    server with a raised cap.  TCP connections set [TCP_NODELAY] — the
+    protocol is request/response over small frames, which Nagle serves
+    terribly. *)
 
 val close : t -> unit
 (** Idempotent. *)
-
-val wire : t -> Protocol.wire
-
-val max_frame : t -> int
-(** The response-frame cap in force: the negotiated value on a binary
-    connection, the [connect] argument otherwise. *)
 
 val request : t -> Arde.Json.t -> (Arde.Json.t, string) result
 (** Send one JSON request frame, wait for one response frame.  [Error]
@@ -56,7 +43,7 @@ val request : t -> Arde.Json.t -> (Arde.Json.t, string) result
     unparsable response). *)
 
 val request_payload : t -> string -> (Arde.Json.t, string) result
-(** Send one raw frame payload (either wire), wait for one response. *)
+(** Send one already-serialized frame payload, wait for one response. *)
 
 val run :
   t ->
@@ -128,7 +115,6 @@ val retry_policy :
 val submit_with_retry :
   endpoint:endpoint ->
   policy:retry_policy ->
-  ?wire:Protocol.wire ->
   ?max_frame:int ->
   ?id:Arde.Json.t ->
   ?deadline_ms:int ->
@@ -139,7 +125,7 @@ val submit_with_retry :
   unit ->
   (Arde.Json.t, string) result * int
 (** Run one request under the policy, opening a fresh connection per
-    attempt and marking resends with the wire [retry] field.  Returns
+    attempt and marking resends with the request's [retry] field.  Returns
     the final outcome (the last retryable failure verbatim when the
     budget runs out — a completed response's own exit semantics are
     never masked) and the number of retries actually performed. *)
@@ -147,7 +133,6 @@ val submit_with_retry :
 val submit_trace_with_retry :
   endpoint:endpoint ->
   policy:retry_policy ->
-  ?wire:Protocol.wire ->
   ?max_frame:int ->
   ?id:Arde.Json.t ->
   ?deadline_ms:int ->

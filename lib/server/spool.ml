@@ -75,10 +75,10 @@ let read_inflight t ~worker =
           in
           match J.parse header with
           | Ok (J.Obj fields) ->
-              (* A JSON-wire request is embedded as parsed JSON (bundles
-                 stay human-readable); a binary-wire request cannot be,
-                 so it rides base64 — either way the exact bytes are
-                 recoverable for the production parser. *)
+              (* A request is embedded as parsed JSON so bundles stay
+                 human-readable; any journaled payload that does not
+                 parse rides base64 instead — either way the exact bytes
+                 are recoverable for the production parser. *)
               let request_field =
                 match J.parse raw with
                 | Ok request -> [ ("request", request) ]

@@ -63,8 +63,9 @@ val load : string -> (Arde.Json.t, string) result
 
 val bundle_request : Arde.Json.t -> (string, string) result
 (** The journaled wire request inside a loaded bundle, as the raw frame
-    payload bytes — re-serialized JSON for a JSON-wire request, decoded
-    base64 for a binary-wire one — ready for [Protocol.parse_request]. *)
+    payload bytes — re-serialized JSON for a request that parsed,
+    decoded base64 for one that did not — ready for
+    [Protocol.parse_request]. *)
 
 val bundle_trace : Arde.Json.t -> (string option, string) result
 (** The binary trace sealed into a loaded bundle, when the crashed

@@ -224,6 +224,9 @@ let kill_watchdog t i =
   let w = worker t i in
   if w.w_pid >= 0 then begin
     w.w_pending_reason <- Some "watchdog";
+    (* Disarm: until [reap] collects the corpse this slot must not come
+       due again, or every loop pass would re-kill and re-count it. *)
+    w.w_kill_by <- infinity;
     t.watchdog_kills <- t.watchdog_kills + 1;
     t.knobs.k_log
       (Printf.sprintf "worker %d (pid %d) overran the watchdog: SIGKILL" i
@@ -378,13 +381,13 @@ let shutdown t ~grace =
           w.w_fd <- None
       | None -> ())
     t.workers;
-  let deadline = Unix.gettimeofday () +. grace in
+  let deadline = Util.now () +. grace in
   let rec wait_all () =
     let pending =
       Array.to_list t.workers |> List.filter (fun w -> w.w_pid >= 0)
     in
     if pending <> [] then
-      if Unix.gettimeofday () > deadline then
+      if Util.now () > deadline then
         List.iter
           (fun w ->
             (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());

@@ -110,8 +110,8 @@ val send_to_worker : t -> int -> string -> unit
 
 val due_watchdog : t -> now:float -> int list
 val kill_watchdog : t -> int -> unit
-(** SIGKILL a wedged worker; the death surfaces via {!reap} with reason
-    ["watchdog"]. *)
+(** SIGKILL a wedged worker once and disarm its timer; the death
+    surfaces via {!reap} with reason ["watchdog"]. *)
 
 val reap : t -> now:float -> draining:bool -> death list
 (** Collect exited workers ([waitpid WNOHANG]): close their fds, seal
@@ -122,7 +122,7 @@ val respawn_due : t -> now:float -> draining:bool -> unit
 
 val next_timer : t -> float
 (** Earliest pending deadline (watchdog or respawn) as an absolute
-    time; [infinity] when idle. *)
+    {!Util.now} time; [infinity] when idle. *)
 
 val shutdown : t -> grace:float -> unit
 (** Drain: close every worker pipe (their EOF signal), wait up to

@@ -36,11 +36,13 @@ let resolve_host host =
         | { Unix.h_addr_list = [||]; _ } -> raise Not_found
         | h -> h.Unix.h_addr_list.(0))
 
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let sleepf dt =
   (* [Unix.sleepf] can be cut short by a signal; finish the nap. *)
-  let until = Unix.gettimeofday () +. dt in
+  let until = now () +. dt in
   let rec nap () =
-    let left = until -. Unix.gettimeofday () in
+    let left = until -. now () in
     if left > 0. then begin
       (try Unix.sleepf left with Unix.Unix_error (EINTR, _, _) -> ());
       nap ()

@@ -25,6 +25,12 @@ val waitpid : Unix.wait_flag list -> int -> int * Unix.process_status
 val write_all : Unix.file_descr -> string -> unit
 (** Blocking full write (client side; the supervisor uses {!outbuf}). *)
 
+val now : unit -> float
+(** Seconds on the monotonic clock, from an arbitrary origin.  Every
+    serving deadline, watchdog, backoff and grace period reads this, so
+    a wall-clock step never fires or stalls one; timestamps that are
+    stored or compared with file times stay on [Unix.gettimeofday]. *)
+
 val sleepf : float -> unit
 (** [Unix.sleepf] that naps again after a signal until the full duration
     has elapsed. *)

@@ -122,138 +122,6 @@ let test_mode_id_roundtrip () =
     (Arde.Config.Nolib_spin_locks 3 :: Arde.Config.all_table1_modes)
 
 (* ------------------------------------------------------------------ *)
-(* Binary wire unit tests (no socket)                                  *)
-
-let test_binary_request_roundtrip () =
-  let options = Arde.Options.make ~seeds:[ 3; 1 ] ~fuel:1234 ~jobs:2 () in
-  let mode = Arde.Config.Nolib_spin 5 in
-  let payload =
-    P.binary_run_request ~id:(J.Int 42) ~deadline_ms:750 ~retry:3
-      ~record:true ~program:"entry = m\n" ~mode ~options ()
-  in
-  checkb "classified binary" true (P.payload_wire payload = P.Binary);
-  (match P.parse_request payload with
-  | Ok (P.Run r) -> (
-      checks "id" "42" (J.to_string r.P.rq_id);
-      check (Alcotest.option Alcotest.int) "deadline" (Some 750)
-        r.P.rq_deadline_ms;
-      check Alcotest.int "retry" 3 r.P.rq_retry;
-      match r.P.rq_payload with
-      | P.Rq_program p ->
-          checks "program" "entry = m\n" p.P.rp_program;
-          checks "mode" "nolib+spin:5" (Arde.Config.mode_id p.P.rp_mode);
-          checkb "record" true p.P.rp_record;
-          checks "options survive the wire"
-            (J.to_string (Arde.Options.to_json options))
-            (J.to_string (Arde.Options.to_json p.P.rp_options))
-      | P.Rq_trace _ -> Alcotest.fail "parsed as a trace request")
-  | Ok _ -> Alcotest.fail "parsed as a non-run request"
-  | Error (_, _, e) -> Alcotest.failf "parse_request: %s" e);
-  (* A replay request's trace is raw bytes — any bytes at all. *)
-  let trace = String.init 512 (fun i -> Char.chr (i * 7 mod 256)) in
-  (match
-     P.parse_request (P.binary_replay_request ~id:(J.String "r") ~trace ())
-   with
-  | Ok (P.Run { P.rq_payload = P.Rq_trace t; rq_id; _ }) ->
-      checks "trace travels verbatim" trace t;
-      checks "id" {|"r"|} (J.to_string rq_id)
-  | Ok _ -> Alcotest.fail "parsed as a non-trace request"
-  | Error (_, _, e) -> Alcotest.failf "replay: %s" e);
-  (match P.parse_request (P.binary_stats_request ~id:(J.Int 7) ()) with
-  | Ok (P.Stats id) -> checks "stats id" "7" (J.to_string id)
-  | _ -> Alcotest.fail "stats request");
-  (match P.parse_request (P.binary_ping_request ()) with
-  | Ok (P.Ping id) -> checks "ping default id" "null" (J.to_string id)
-  | _ -> Alcotest.fail "ping request");
-  match P.parse_request (P.binary_hello ()) with
-  | Ok P.Hello -> ()
-  | _ -> Alcotest.fail "hello request"
-
-let test_binary_request_errors () =
-  let expect_code want payload =
-    match P.parse_request payload with
-    | Ok _ -> Alcotest.failf "accepted %S" payload
-    | Error (_, code, _) ->
-        checks (String.escaped payload) want (P.code_name code)
-  in
-  (* Every proper prefix of a valid request is structural garbage. *)
-  let good = P.binary_ping_request ~id:(J.Int 1) () in
-  for i = 1 to String.length good - 1 do
-    expect_code "bad_frame" (String.sub good 0 i)
-  done;
-  (* Unsupported version byte. *)
-  expect_code "bad_frame" "\xB7\x63\x06\x011";
-  (* Trailing bytes after a well-formed message. *)
-  expect_code "bad_frame" (good ^ "x");
-  (* Truncated mid-varint: a length whose continuation bit never ends. *)
-  expect_code "bad_frame" "\xB7\x01\x06\xFF";
-  (* Structurally sound envelope, meaningless kind. *)
-  expect_code "bad_request" "\xB7\x01\x63\x011";
-  (* Semantic errors inside a sound envelope are bad_request, like JSON. *)
-  let opts = Arde.Options.make () in
-  expect_code "bad_request"
-    (P.binary_run_request ~deadline_ms:0 ~program:"x"
-       ~mode:Arde.Config.Helgrind_lib ~options:opts ());
-  (* The id still comes back for correlation, as on the JSON wire. *)
-  match
-    P.parse_request
-      (P.binary_run_request ~id:(J.Int 7) ~deadline_ms:(-5) ~program:"x"
-         ~mode:Arde.Config.Helgrind_lib ~options:opts ())
-  with
-  | Error (id, _, _) -> checks "echoed id" "7" (J.to_string id)
-  | Ok _ -> Alcotest.fail "accepted a non-positive deadline"
-
-let test_binary_response_roundtrip () =
-  let trace = String.init 300 (fun i -> Char.chr ((i * 13) mod 256)) in
-  let resps =
-    [
-      P.ok_response ~id:(J.Int 1) [ ("pong", J.Bool true) ];
-      P.ok_response ~id:(J.String "a")
-        [
-          ("result", J.Obj [ ("races", J.List [ J.Int 1; J.Int 2 ]) ]);
-          ("analysis_cache", J.Obj [ ("hits", J.Int 3) ]);
-          ("trace", J.String (Arde.Base64.encode trace));
-        ];
-      P.ok_response ~id:J.Null [ ("result", J.Obj []) ];
-      P.ok_response ~id:(J.Int 2)
-        [ ("stats", J.Obj [ ("queue", J.Int 0) ]) ];
-      P.error_response ~id:(J.Int 9) P.Bad_request "no such mode";
-      P.error_response ~id:J.Null P.Worker_crashed "worker 3 lost";
-    ]
-  in
-  List.iter
-    (fun resp ->
-      let bin = P.encode_response ~wire:P.Binary resp in
-      checkb "classified binary" true (P.payload_wire bin = P.Binary);
-      let back =
-        match P.response_of_binary bin with
-        | Ok j -> j
-        | Error e -> Alcotest.failf "response_of_binary: %s" e
-      in
-      checks "round-trips byte-identically" (J.to_string resp)
-        (J.to_string back))
-    resps;
-  (* The worker's raw-trace short circuit must not change the bytes. *)
-  let with_trace = List.nth resps 1 in
-  checks "raw_trace short-circuit is byte-identical"
-    (P.encode_response ~wire:P.Binary with_trace)
-    (P.encode_response ~raw_trace:trace ~wire:P.Binary with_trace);
-  (* JSON encoding is untouched by the dual-wire encoder. *)
-  checks "json wire unchanged"
-    (J.to_string with_trace)
-    (P.encode_response ~wire:P.Json with_trace)
-
-let test_hello_ack () =
-  (match P.parse_hello_ack (P.binary_hello_ack ~max_frame:123_456) with
-  | Ok n -> check Alcotest.int "negotiated cap" 123_456 n
-  | Error e -> Alcotest.failf "hello_ack: %s" e);
-  checkb "non-ack rejected" true
-    (Result.is_error (P.parse_hello_ack (P.binary_hello ())));
-  checkb "json rejected" true (Result.is_error (P.parse_hello_ack "{}"));
-  checkb "truncated rejected" true
-    (Result.is_error (P.parse_hello_ack "\xB7\x01"))
-
-(* ------------------------------------------------------------------ *)
 (* Scheduler unit tests                                                *)
 
 let test_scheduler_admission () =
@@ -482,93 +350,6 @@ let test_byte_identity () =
                     (served_result_string cl case mode))
                 Arde.Config.all_table1_modes)
             cases))
-
-(* The binary wire end to end: a client that negotiated binary framing
-   must see byte-identical results, stats, pings and record-mode traces
-   to a JSON client of the same server — the wire changes framing cost,
-   never meaning — and structural garbage on the binary wire must come
-   back as a structured bad_frame without poisoning the server. *)
-let test_binary_wire_end_to_end () =
-  let case = List.hd (identity_cases ()) in
-  let mode = Arde.Config.Helgrind_spin 7 in
-  with_server (fun srv ->
-      let cb =
-        ok_exn "binary connect"
-          (C.connect ~wire:P.Binary ~endpoint:(C.Unix_socket srv.path) ())
-      in
-      Fun.protect
-        ~finally:(fun () -> C.close cb)
-        (fun () ->
-          checkb "client is on the binary wire" true (C.wire cb = P.Binary);
-          check Alcotest.int "hello-ack mirrors the server's frame cap"
-            P.default_max_frame (C.max_frame cb);
-          checkb "ping over binary" true
-            (P.response_ok (ok_exn "ping" (C.ping cb)));
-          (match J.member "stats" (ok_exn "stats" (C.stats cb)) with
-          | Some (J.Obj _) -> ()
-          | _ -> Alcotest.fail "stats over binary lacks a stats object");
-          with_client srv (fun cj ->
-              checks "served results identical across wires"
-                (served_result_string cj case mode)
-                (served_result_string cb case mode);
-              (* Record-mode results and traces must be identical on
-                 both wires (the cache-delta field is per-worker state,
-                 so it is excluded). *)
-              let program =
-                Arde.Pretty.program_to_string case.W.Racey.program
-              in
-              let record cl =
-                let resp =
-                  ok_exn "record run"
-                    (C.run cl ~record:true ~program ~mode
-                       ~options:identity_options ())
-                in
-                if not (P.response_ok resp) then
-                  Alcotest.failf "record run refused: %s" (error_code resp);
-                let at k =
-                  J.to_string
-                    (Option.value ~default:J.Null (J.member k resp))
-                in
-                (at "result", at "trace")
-              in
-              let jr, jt = record cj and br, bt = record cb in
-              checks "record-mode results identical across wires" jr br;
-              checks "record-mode traces identical across wires" jt bt);
-          (* A trace recorded over binary replays over binary. *)
-          let resp =
-            ok_exn "record"
-              (C.run cb ~record:true
-                 ~program:(Arde.Pretty.program_to_string case.W.Racey.program)
-                 ~mode ~options:identity_options ())
-          in
-          let trace =
-            match Option.bind (J.member "trace" resp) J.to_str with
-            | Some b64 -> ok_exn "trace base64" (Arde.Base64.decode b64)
-            | None -> Alcotest.fail "record response without trace"
-          in
-          let replayed = ok_exn "replay" (C.replay cb ~trace ()) in
-          checks "binary replay reproduces the recorded result"
-            (J.to_string
-               (Option.value ~default:J.Null (J.member "result" resp)))
-            (J.to_string
-               (Option.value ~default:J.Null (J.member "result" replayed))));
-      (* Structural garbage framed as binary: structured bad_frame, and
-         the connection keeps serving. *)
-      with_client srv (fun cl ->
-          ignore (ok_exn "send" (C.send_frame cl "\xB7\x01\x03trunc"));
-          checks "binary garbage" "bad_frame"
-            (error_code (ok_exn "recv" (C.recv cl)));
-          ignore (ok_exn "send" (C.send_frame cl "\xB7\x01\x63\x011"));
-          checks "unknown binary kind" "bad_request"
-            (error_code (ok_exn "recv" (C.recv cl)));
-          (* ... and the same connection still serves JSON. *)
-          let resp =
-            ok_exn "request"
-              (C.run cl ~program:busy_tir ~mode:Arde.Config.Helgrind_lib
-                 ~options:(Arde.Options.make ~seeds:[ 1 ] ~fuel:100 ())
-                 ())
-          in
-          checkb "healthy after binary abuse" true (P.response_ok resp)))
 
 (* The replay farm: a record-mode run returns the binary trace in its
    response, and submitting that trace back — with no program, mode or
@@ -1273,6 +1054,58 @@ let test_watchdog_kills_wedged_worker () =
               int_at [ "supervision"; "watchdog_kills" ] = Some 1)));
   ()
 
+(* A watchdog kill disarms the slot at once: until [reap] collects the
+   corpse the slot must not come due again (a second SIGKILL and a
+   second count on every loop pass), nor pin the loop's select timeout
+   to its floor. *)
+let test_watchdog_kill_disarms_slot () =
+  let module Sup = Arde_server.Supervisor in
+  let root = fresh_socket () ^ ".spool" in
+  let spool = ok_exn "spool" (Arde_server.Spool.create ~root) in
+  let knobs =
+    {
+      Sup.k_exec = Sys.executable_name;
+      k_spool_root = root;
+      k_jobs = 1;
+      k_max_frame = P.default_max_frame;
+      k_chaos_plan = "";
+      k_store_dir = "";
+      k_store_max_mb = 1;
+      k_restart_backoff_ms = 10;
+      k_restart_backoff_max_ms = 10;
+      k_breaker_threshold = 5;
+      k_breaker_window_s = 1.;
+      k_log = ignore;
+    }
+  in
+  let sup = Sup.create ~knobs ~spool ~workers:1 in
+  let kills () =
+    Option.bind (J.member "watchdog_kills" (Sup.stats_json sup)) J.to_int
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Sup.shutdown sup ~grace:1.0;
+      rm_rf root)
+    (fun () ->
+      let now = Arde_server.Util.now () in
+      Sup.note_dispatch sup 0 ~kill_by:(now -. 1.);
+      check (Alcotest.list Alcotest.int) "overdue slot" [ 0 ]
+        (Sup.due_watchdog sup ~now);
+      Sup.kill_watchdog sup 0;
+      check (Alcotest.list Alcotest.int) "not due again before the reap" []
+        (Sup.due_watchdog sup ~now);
+      checkb "no timer left armed" true (Sup.next_timer sup = infinity);
+      let rec reap tries =
+        match Sup.reap sup ~now:(Arde_server.Util.now ()) ~draining:true with
+        | [ d ] -> d
+        | [] when tries > 0 ->
+            Unix.sleepf 0.01;
+            reap (tries - 1)
+        | _ -> Alcotest.fail "killed worker was never reaped"
+      in
+      checks "death reason" "watchdog" (reap 500).Sup.d_reason;
+      check (Alcotest.option Alcotest.int) "counted once" (Some 1) (kills ()))
+
 (* A worker that dies mid-reply (torn frame) must be treated as a
    crash, not parsed as a response. *)
 let test_torn_reply_frame () =
@@ -1768,24 +1601,67 @@ let test_tcp_end_to_end () =
       let unix_result =
         with_client srv (fun cl -> served_result_string cl case mode)
       in
-      List.iter
-        (fun wire ->
-          let c =
-            ok_exn "tcp connect"
-              (C.connect ~wire ~endpoint:(C.Tcp (host, port)) ())
-          in
-          Fun.protect
-            ~finally:(fun () -> C.close c)
-            (fun () ->
-              checkb "ping over tcp" true
-                (P.response_ok (ok_exn "ping" (C.ping c)));
-              checks
-                (Printf.sprintf "tcp %s wire matches the unix socket"
-                   (P.wire_name wire))
-                unix_result
-                (served_result_string c case mode)))
-        [ P.Json; P.Binary ])
+      let c =
+        ok_exn "tcp connect" (C.connect ~endpoint:(C.Tcp (host, port)) ())
+      in
+      Fun.protect
+        ~finally:(fun () -> C.close c)
+        (fun () ->
+          checkb "ping over tcp" true (P.response_ok (ok_exn "ping" (C.ping c)));
+          checks "tcp matches the unix socket" unix_result
+            (served_result_string c case mode)))
 
+(* Frames of the retired binary wire — anything opening with its 0xB7
+   magic byte, the old hello handshake included — are untrusted bytes
+   like any other non-JSON payload: a structured bad_frame, after which
+   the connection and both listeners keep serving. *)
+let test_retired_binary_frames_fail_closed () =
+  let retired =
+    [ ("hello", "\xB7\x01\x01"); ("ping", "\xB7\x01\x06\x00"); ("magic", "\xB7") ]
+  in
+  List.iter
+    (fun (what, payload) ->
+      match P.parse_request payload with
+      | Error (_, P.Bad_frame, _) -> ()
+      | _ -> Alcotest.failf "retired %s frame is not a bad_frame" what)
+    retired;
+  with_server ~tcp:("127.0.0.1", 0) (fun srv ->
+      let host, port =
+        match S.tcp_endpoint srv.t with
+        | Some ep -> ep
+        | None -> Alcotest.fail "server bound no TCP endpoint"
+      in
+      let probe label c =
+        List.iter
+          (fun (what, payload) ->
+            ignore (ok_exn "send" (C.send_frame c payload));
+            checks
+              (Printf.sprintf "%s: retired %s frame" label what)
+              "bad_frame"
+              (error_code (ok_exn "recv" (C.recv c))))
+          retired;
+        let resp =
+          ok_exn "run"
+            (C.run c ~program:busy_tir ~mode:Arde.Config.Helgrind_lib
+               ~options:(Arde.Options.make ~seeds:[ 1 ] ~fuel:100 ())
+               ())
+        in
+        checkb (label ^ ": still serving") true (P.response_ok resp)
+      in
+      with_client srv (probe "unix");
+      let c =
+        ok_exn "tcp connect" (C.connect ~endpoint:(C.Tcp (host, port)) ())
+      in
+      Fun.protect ~finally:(fun () -> C.close c) (fun () -> probe "tcp" c);
+      with_client srv (fun cl ->
+          await_stats cl ~what:"bad frames counted"
+            (fun ~int_at ~bool_at:_ ->
+              int_at [ "requests"; "bad_frame" ]
+              = Some (2 * List.length retired))))
+
+(* Test reports print a case's index next to its name, so cases keep
+   their positions: "8 concurrent clients" stays at 14 and "crash storm"
+   at 26. *)
 let suite =
   [
     Alcotest.test_case "frame codec reassembles any chunking" `Quick
@@ -1798,24 +1674,23 @@ let suite =
       test_request_roundtrip;
     Alcotest.test_case "malformed requests map to structured errors" `Quick
       test_request_errors;
-    Alcotest.test_case "binary requests round-trip the option surface"
-      `Quick test_binary_request_roundtrip;
-    Alcotest.test_case "malformed binary requests map to structured errors"
-      `Quick test_binary_request_errors;
-    Alcotest.test_case "binary responses round-trip byte-identically" `Quick
-      test_binary_response_roundtrip;
-    Alcotest.test_case "hello-ack negotiates the frame cap" `Quick
-      test_hello_ack;
+    Alcotest.test_case "retired binary frames fail closed on both listeners"
+      `Quick test_retired_binary_frames_fail_closed;
     Alcotest.test_case "mode wire form round-trips" `Quick
       test_mode_id_roundtrip;
+    Alcotest.test_case "tcp endpoints parse" `Quick test_parse_tcp_endpoint;
+    Alcotest.test_case "store entries round-trip deterministically" `Quick
+      test_store_roundtrip;
     Alcotest.test_case "scheduler admission control and drain" `Quick
       test_scheduler_admission;
     Alcotest.test_case "served results are byte-identical to the driver"
       `Quick test_byte_identity;
-    Alcotest.test_case "binary wire is byte-identical end to end" `Quick
-      test_binary_wire_end_to_end;
+    Alcotest.test_case "tcp listener is byte-identical on both transports"
+      `Quick test_tcp_end_to_end;
     Alcotest.test_case "record-mode run replays identically on the farm"
       `Quick test_record_then_server_replay;
+    Alcotest.test_case "a watchdog kill disarms its slot until the reap"
+      `Quick test_watchdog_kill_disarms_slot;
     Alcotest.test_case "8 concurrent clients, mixed valid and invalid"
       `Quick test_concurrent_clients;
     Alcotest.test_case "malformed frames against a live server" `Quick
@@ -1855,8 +1730,6 @@ let suite =
       test_drain_races_cold_fill;
     Alcotest.test_case "client disconnect mid-response is survivable" `Quick
       test_client_disconnect_mid_response;
-    Alcotest.test_case "store entries round-trip deterministically" `Quick
-      test_store_roundtrip;
     Alcotest.test_case "corrupt store entries are recomputed, never fatal"
       `Quick test_store_corruption_recovery;
     Alcotest.test_case "store write failures degrade to compute-only" `Quick
@@ -1869,7 +1742,4 @@ let suite =
       test_store_cross_worker_write_back;
     Alcotest.test_case "restarted daemon serves byte-identical results warm"
       `Quick test_store_restart_warm_identity;
-    Alcotest.test_case "tcp endpoints parse" `Quick test_parse_tcp_endpoint;
-    Alcotest.test_case "tcp listener is byte-identical on both wires" `Quick
-      test_tcp_end_to_end;
   ]
