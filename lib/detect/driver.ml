@@ -1,6 +1,5 @@
 open Arde_tir.Types
 module Machine = Arde_runtime.Machine
-module Sched = Arde_runtime.Sched
 module Observer = Arde_runtime.Observer
 module Codec = Arde_runtime.Trace_codec
 
@@ -132,7 +131,7 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* Run health                                                         *)
 
-let health_of ?(notes = []) runs =
+let health_of ~notes runs =
   let finished = ref 0
   and deadlocked = ref 0
   and livelocked = ref 0
@@ -202,93 +201,8 @@ let describe_exn = function
    seed can run at all — the caller turns it into a [Failed] health
    record rather than letting the exception escape [Arde.detect]. *)
 let prepare ?digest (options : Options.t) mode program =
-  let p =
-    Analysis_cache.prepare ?digest ~style:options.Options.lower_style
-      ~count_callees:options.Options.count_callee_blocks mode program
-  in
-  ( p.Analysis_cache.p_program,
-    p.Analysis_cache.p_instrument,
-    p.Analysis_cache.p_cv_mutexes,
-    p.Analysis_cache.p_inferred_locks,
-    p.Analysis_cache.p_compiled )
-
-(* The pure per-seed stage.  Runs one seed inside a sandbox and returns
-   the seed's record together with its private report — no shared state
-   is touched, which is what lets the driver run seeds on separate
-   domains.  Machine faults surface as [Completed (Fault _)] (the machine
-   catches those itself), while escaping exceptions — broken machine
-   invariants, an observer blowing up, injected chaos — become a
-   [Crashed] outcome carrying whatever partial report the engine had
-   accumulated.  One sick seed never takes down the others.
-
-   When a [sink] is supplied, it is teed {e between} the chaos injector
-   and the engine: the recorded stream is exactly the stream the engine
-   saw (an injector raising mid-run truncates both identically), which
-   is what makes replay reproduce even crashed seeds byte for byte. *)
-let run_seed (options : Options.t) mode ~engine_factory ~instrument
-    ~cv_mutexes ~inferred_locks ?sink compiled seed =
-  let detector_cfg =
-    Config.make ~sensitivity:options.Options.sensitivity
-      ~cap:options.Options.cap mode
-  in
-  let engine = engine_factory detector_cfg ~cv_mutexes ~inferred_locks ~instrument in
-  let cv_checker = Cv_checker.create () in
-  let observer =
-    Observer.tee engine.e_observer (Cv_checker.observer cv_checker)
-  in
-  let observer =
-    match sink with
-    | None -> observer
-    | Some s -> Observer.tee (Codec.sink_observer s) observer
-  in
-  let observer =
-    match options.Options.inject with
-    | None -> observer
-    | Some f -> Observer.tee (Observer.of_fn (f ~seed)) observer
-  in
-  let mcfg =
-    {
-      Machine.policy = options.Options.policy;
-      seed;
-      fuel = options.Options.fuel;
-      instrument;
-      spurious_wakeups = options.Options.spurious_wakeups;
-      observer;
-    }
-  in
-  match Machine.run mcfg compiled with
-  | res ->
-      let rep = engine.e_report () in
-      ( {
-          sr_seed = seed;
-          sr_outcome = Completed res.Machine.outcome;
-          sr_steps = res.Machine.steps;
-          sr_contexts = Report.n_contexts rep;
-          sr_capped = Report.capped rep;
-          sr_spin_edges = engine.e_spin_edges ();
-          sr_memory_words = engine.e_memory_words ();
-          sr_check_failures = res.Machine.check_failures;
-          sr_cv_diagnostics = Cv_checker.finalize cv_checker;
-        },
-        Some rep )
-  | exception e ->
-      let floc, msg = describe_exn e in
-      (* Salvage what the engine saw before the crash; warnings found on
-         the trace prefix are still valid observations. *)
-      let rep = try Some (engine.e_report ()) with _ -> None in
-      ( {
-          sr_seed = seed;
-          sr_outcome = Crashed (floc, msg);
-          sr_steps = 0;
-          sr_contexts =
-            (match rep with Some r -> Report.n_contexts r | None -> 0);
-          sr_capped = (match rep with Some r -> Report.capped r | None -> false);
-          sr_spin_edges = (try engine.e_spin_edges () with _ -> 0);
-          sr_memory_words = (try engine.e_memory_words () with _ -> 0);
-          sr_check_failures = [];
-          sr_cv_diagnostics = (try Cv_checker.finalize cv_checker with _ -> []);
-        },
-        rep )
+  Analysis_cache.prepare ?digest ~style:options.Options.lower_style
+    ~count_callees:options.Options.count_callee_blocks mode program
 
 (* A seed the run never started: the cancellation hook (a server
    deadline, a drain) fired before this seed's slot came up.  No machine
@@ -394,7 +308,138 @@ let trailer_of_seed_run sr =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The live pipeline, shared by [run] and [record]                    *)
+(* The per-seed runner                                                *)
+
+(* Where one seed's event stream comes from: a live execution of the
+   compiled program, or a recorded section streamed back through the
+   codec.  Recording and replay only change the source; everything
+   downstream of the stream is the same runner. *)
+type source = Execute of int | Replay of Codec.section
+
+(* The pure per-seed stage.  Runs one seed inside a sandbox and returns
+   the seed's record, its private report and — when [record] — the
+   sealed codec section.  No shared state is touched, which is what lets
+   the driver run seeds on separate domains.
+
+   Observers attach in one fixed order: the chaos injector (live runs
+   only), then the recording sink, then the engine and the CV checker
+   (when [detect]).  The sink sits {e between} injector and engine, so
+   the recorded stream is exactly the stream the engine saw (an injector
+   raising mid-run truncates both identically) — which is what makes
+   replay reproduce even crashed seeds byte for byte.  A record-only seed
+   builds no engine and no checker: the cheapest observing run there is.
+
+   Machine faults surface as [Completed (Fault _)] (the machine catches
+   those itself), while escaping exceptions — broken machine invariants,
+   an observer blowing up, injected chaos, an undecodable recording —
+   become a [Crashed] outcome carrying whatever partial report the engine
+   had accumulated.  One sick seed never takes down the others. *)
+let run_one (c : ctx) (options : Options.t) mode (p : Analysis_cache.prepared)
+    ~detect ~record source =
+  let seed, recorded_cancel =
+    match source with
+    | Execute seed -> (seed, false)
+    | Replay sec ->
+        let t = sec.Codec.s_trailer in
+        (sec.Codec.s_seed, t.Codec.t_outcome = Codec.Cancelled)
+  in
+  (* Cooperative cancellation: the hook is consulted once per seed,
+     before that seed's machine is built.  Seeds already executing run to
+     completion (their findings are salvaged); seeds whose slot comes up
+     after the hook fires become [Cancelled]. *)
+  if c.c_should_stop () || recorded_cancel then
+    ( cancelled_run seed,
+      if record then Some (Codec.cancelled_section ~seed) else None )
+  else begin
+    let instrument = p.Analysis_cache.p_instrument in
+    let sink = if record then Some (Codec.sink ()) else None in
+    let detector =
+      if detect then
+        let cfg =
+          Config.make ~sensitivity:options.Options.sensitivity
+            ~cap:options.Options.cap mode
+        in
+        Some
+          ( c.c_engine cfg ~cv_mutexes:p.Analysis_cache.p_cv_mutexes
+              ~inferred_locks:p.Analysis_cache.p_inferred_locks ~instrument,
+            Cv_checker.create () )
+      else None
+    in
+    let observer =
+      Observer.tee_all
+        ((match (source, options.Options.inject) with
+         | Execute _, Some f -> [ Observer.of_fn (f ~seed) ]
+         | _ -> [])
+        @ Option.to_list (Option.map Codec.sink_observer sink)
+        @
+        match detector with
+        | Some (e, cv) -> [ e.e_observer; Cv_checker.observer cv ]
+        | None -> [])
+    in
+    let outcome, steps, check_failures =
+      try
+        match source with
+        | Execute _ ->
+            let res =
+              Machine.run
+                {
+                  Machine.policy = options.Options.policy;
+                  seed;
+                  fuel = options.Options.fuel;
+                  instrument;
+                  spurious_wakeups = options.Options.spurious_wakeups;
+                  observer;
+                }
+                p.Analysis_cache.p_compiled
+            in
+            ( Completed res.Machine.outcome,
+              res.Machine.steps,
+              res.Machine.check_failures )
+        | Replay sec -> (
+            (* the machine-side half comes from the section trailer *)
+            let t = sec.Codec.s_trailer in
+            match Codec.decode_events sec (Observer.emit observer) with
+            | Ok () ->
+                ( seed_outcome_of_codec t.Codec.t_outcome,
+                  t.Codec.t_steps,
+                  t.Codec.t_check_failures )
+            | Error e ->
+                (* hash-valid but undecodable: the recording itself is sick *)
+                (Crashed (None, "replay: " ^ Codec.error_to_string e), 0, []))
+      with e ->
+        let floc, msg = describe_exn e in
+        (Crashed (floc, msg), 0, [])
+    in
+    (* Salvage what the engine saw, crash or not; warnings found on a
+       trace prefix are still valid observations. *)
+    let salvage f default =
+      match detector with
+      | Some d -> ( try f d with _ -> default)
+      | None -> default
+    in
+    let rep = salvage (fun (e, _) -> Some (e.e_report ())) None in
+    let sr =
+      {
+        sr_seed = seed;
+        sr_outcome = outcome;
+        sr_steps = steps;
+        sr_contexts =
+          (match rep with Some r -> Report.n_contexts r | None -> 0);
+        sr_capped = (match rep with Some r -> Report.capped r | None -> false);
+        sr_spin_edges = salvage (fun (e, _) -> e.e_spin_edges ()) 0;
+        sr_memory_words = salvage (fun (e, _) -> e.e_memory_words ()) 0;
+        sr_check_failures = check_failures;
+        sr_cv_diagnostics = salvage (fun (_, cv) -> Cv_checker.finalize cv) [];
+      }
+    in
+    ( (sr, rep),
+      Option.map
+        (fun s -> Codec.section_of_sink s ~seed (trailer_of_seed_run sr))
+        sink )
+  end
+
+(* ------------------------------------------------------------------ *)
+(* The pipeline, shared by run, replay, record and compare            *)
 
 let fan_out (c : ctx) options body seeds =
   match c.c_pool with
@@ -403,58 +448,49 @@ let fan_out (c : ctx) options body seeds =
       let jobs = Options.effective_jobs options ~n_seeds:(List.length seeds) in
       Arde_util.Domain_pool.map ~jobs body seeds
 
-let finish_result mode ~program ~instrument ~notes per_seed =
+(* A record-only pass has no findings to report, so it skips the static
+   hazard scan (a dominator pass per function) that a detecting result
+   carries. *)
+let finish_result mode (p : Analysis_cache.prepared) ~detect ~notes per_seed =
   let merged = merge_reports per_seed in
   let runs = List.map fst per_seed in
   let n_spin_loops =
-    match instrument with
+    match p.Analysis_cache.p_instrument with
     | Some inst -> List.length (Arde_cfg.Instrument.spins inst)
     | None -> 0
+  in
+  let static_cv_hazards =
+    if not detect then []
+    else try Cv_checker.static_check p.Analysis_cache.p_program with _ -> []
   in
   {
     mode;
     merged;
     runs;
     n_spin_loops;
-    static_cv_hazards = (try Cv_checker.static_check program with _ -> []);
+    static_cv_hazards;
     health = health_of ~notes runs;
     prediction = None;
   }
 
-(* Execute the live pipeline; with [record] also seal one codec section
-   per seed.  Returns the sections in seed order, matching [runs]. *)
-let run_live (c : ctx) mode program ~record =
-  match prepare ?digest:c.c_program_digest c.c_options mode program with
-  | exception e -> (failed_result mode (snd (describe_exn e)), [])
-  | program, instrument, cv_mutexes, inferred_locks, compiled ->
-      let options = c.c_options in
+(* prepare → clamp notes → fan [run_one] out over [sources] → merge.
+   Returns the result and the sealed sections (seed order, empty unless
+   [record]); [Error] carries the message of a static half that failed,
+   in which case no seed ran. *)
+let run_seeds (c : ctx) options mode prepared ~detect ~record sources =
+  match Lazy.force prepared with
+  | exception e -> Error (snd (describe_exn e))
+  | p ->
       let notes = clamp_notes options in
-      (* Cooperative cancellation: the hook is consulted once per seed,
-         before that seed's machine is built.  Seeds already executing
-         run to completion (their findings are salvaged); seeds whose
-         slot comes up after the hook fires become [Cancelled]. *)
-      let seed_body seed =
-        if c.c_should_stop () then
-          ( cancelled_run seed,
-            if record then Some (Codec.cancelled_section ~seed) else None )
-        else begin
-          let sink = if record then Some (Codec.sink ()) else None in
-          let ((sr, _) as seed_res) =
-            run_seed options mode ~engine_factory:c.c_engine ~instrument
-              ~cv_mutexes ~inferred_locks ?sink compiled seed
-          in
-          let section =
-            Option.map
-              (fun s -> Codec.section_of_sink s ~seed (trailer_of_seed_run sr))
-              sink
-          in
-          (seed_res, section)
-        end
+      let out =
+        fan_out c options (run_one c options mode p ~detect ~record) sources
       in
-      let out = fan_out c options seed_body options.Options.seeds in
-      let per_seed = List.map fst out in
-      let sections = List.filter_map snd out in
-      (finish_result mode ~program ~instrument ~notes per_seed, sections)
+      Ok
+        ( finish_result mode p ~detect ~notes (List.map fst out),
+          List.filter_map snd out )
+
+let executions (options : Options.t) =
+  List.map (fun seed -> Execute seed) options.Options.seeds
 
 (* ------------------------------------------------------------------ *)
 (* Inputs                                                             *)
@@ -472,54 +508,6 @@ let resolve_text text =
 (* ------------------------------------------------------------------ *)
 (* Replay: the detection half alone, fed from a recording             *)
 
-let replay_section (options : Options.t) mode ~engine_factory ~instrument
-    ~cv_mutexes ~inferred_locks (sec : Codec.section) =
-  let trailer = sec.Codec.s_trailer in
-  if trailer.Codec.t_outcome = Codec.Cancelled then
-    cancelled_run sec.Codec.s_seed
-  else
-    let detector_cfg =
-      Config.make ~sensitivity:options.Options.sensitivity
-        ~cap:options.Options.cap mode
-    in
-    let engine =
-      engine_factory detector_cfg ~cv_mutexes ~inferred_locks ~instrument
-    in
-    let cv_checker = Cv_checker.create () in
-    let observer =
-      Observer.tee engine.e_observer (Cv_checker.observer cv_checker)
-    in
-    let seed = sec.Codec.s_seed in
-    let finish outcome check_failures steps =
-      let rep = try Some (engine.e_report ()) with _ -> None in
-      ( {
-          sr_seed = seed;
-          sr_outcome = outcome;
-          sr_steps = steps;
-          sr_contexts =
-            (match rep with Some r -> Report.n_contexts r | None -> 0);
-          sr_capped = (match rep with Some r -> Report.capped r | None -> false);
-          sr_spin_edges = (try engine.e_spin_edges () with _ -> 0);
-          sr_memory_words = (try engine.e_memory_words () with _ -> 0);
-          sr_check_failures = check_failures;
-          sr_cv_diagnostics = (try Cv_checker.finalize cv_checker with _ -> []);
-        },
-        rep )
-    in
-    match Codec.decode_events sec (fun ev -> Observer.emit observer ev) with
-    | Ok () ->
-        finish
-          (seed_outcome_of_codec trailer.Codec.t_outcome)
-          trailer.Codec.t_check_failures trailer.Codec.t_steps
-    | Error e ->
-        (* The recording itself is sick (hash-valid but undecodable, or
-           an engine blew up mid-stream): surface it like a crashed seed,
-           salvaging whatever the engine got through. *)
-        finish (Crashed (None, "replay: " ^ Codec.error_to_string e)) [] 0
-    | exception e ->
-        let floc, msg = describe_exn e in
-        finish (Crashed (floc, msg)) [] 0
-
 let replay ?(ctx = default_ctx) recorded =
   (* Everything that shapes detection comes from the recording — mode,
      sensitivity, cap, seeds — so a replayed result is comparable byte
@@ -528,23 +516,17 @@ let replay ?(ctx = default_ctx) recorded =
      cancellation. *)
   let mode = Recorded.mode recorded in
   let options = Recorded.options recorded in
-  let program = Recorded.program recorded in
   (* verified equal to the canonical digest at load time *)
   let digest = Digest.from_hex (Recorded.digest_hex recorded) in
-  match prepare ~digest options mode program with
-  | exception e -> failed_result mode (snd (describe_exn e))
-  | program, instrument, cv_mutexes, inferred_locks, _compiled ->
-      let notes = clamp_notes options in
-      let section_body sec =
-        if ctx.c_should_stop () then cancelled_run sec.Codec.s_seed
-        else
-          replay_section options mode ~engine_factory:ctx.c_engine ~instrument
-            ~cv_mutexes ~inferred_locks sec
-      in
-      let per_seed =
-        fan_out ctx options section_body (Recorded.sections recorded)
-      in
-      finish_result mode ~program ~instrument ~notes per_seed
+  let prepared =
+    lazy (prepare ~digest options mode (Recorded.program recorded))
+  in
+  let sources = List.map (fun sec -> Replay sec) (Recorded.sections recorded) in
+  match
+    run_seeds ctx options mode prepared ~detect:true ~record:false sources
+  with
+  | Ok (result, _) -> result
+  | Error msg -> failed_result mode msg
 
 (* ------------------------------------------------------------------ *)
 (* Prediction: sync-preserving races from recorded sections           *)
@@ -659,7 +641,7 @@ let predict_into (c : ctx) options mode program result sections =
   else begin
     let instrument =
       match prepare ?digest:c.c_program_digest options mode program with
-      | _, instrument, _, _, _ -> instrument
+      | p -> p.Analysis_cache.p_instrument
       | exception _ -> None
     in
     merge_predicted result (predict_from_sections ~instrument sections)
@@ -669,21 +651,26 @@ let predict_into (c : ctx) options mode program result sections =
    [Predict] trims the run to [predict_limit] recorded seeds and
    predicts from their traces, [Both] sweeps every seed and predicts
    from the first recordings (the differential configuration). *)
-let run_live_analyzed (c : ctx) mode program =
-  match c.c_options.Options.analysis with
-  | Options.Sweep -> fst (run_live c mode program ~record:false)
-  | Options.Predict ->
-      let options =
-        Options.with_seeds
-          (take predict_limit c.c_options.Options.seeds)
-          c.c_options
-      in
-      let c = { c with c_options = options } in
-      let result, sections = run_live c mode program ~record:true in
+let run_live (c : ctx) mode program =
+  let analysis = c.c_options.Options.analysis in
+  let options =
+    if analysis <> Options.Predict then c.c_options
+    else
+      Options.with_seeds
+        (take predict_limit c.c_options.Options.seeds)
+        c.c_options
+  in
+  let prepared =
+    lazy (prepare ?digest:c.c_program_digest options mode program)
+  in
+  let record = analysis <> Options.Sweep in
+  match
+    run_seeds c options mode prepared ~detect:true ~record (executions options)
+  with
+  | Error msg -> failed_result mode msg
+  | Ok (result, sections) when record ->
       predict_into c options mode program result sections
-  | Options.Both ->
-      let result, sections = run_live c mode program ~record:true in
-      predict_into c c.c_options mode program result sections
+  | Ok (result, _) -> result
 
 (* ------------------------------------------------------------------ *)
 (* The front door                                                     *)
@@ -718,56 +705,17 @@ let run ?(ctx = default_ctx) ?mode input =
                 (Recorded.program r) result (Recorded.sections r)))
   | Input.Program program ->
       let mode = Option.value mode ~default:default_mode in
-      run_live_analyzed ctx mode program
+      run_live ctx mode program
   | Input.Text text -> (
       let mode = Option.value mode ~default:default_mode in
       match resolve_text text with
       | Error msg -> failed_result mode msg
-      | Ok program -> run_live_analyzed ctx mode program)
+      | Ok program -> run_live ctx mode program)
 
 (* ------------------------------------------------------------------ *)
 (* Recording                                                          *)
 
 type recording = { rec_trace : string; rec_result : result option }
-
-(* The record-only per-seed body: no engine, no checker — just the chaos
-   injector (if any) and the sink, which is as close to the quiet fast
-   path as an observing run gets. *)
-let record_seed (options : Options.t) ~instrument compiled seed =
-  let sink = Codec.sink () in
-  let observer = Codec.sink_observer sink in
-  let observer =
-    match options.Options.inject with
-    | None -> observer
-    | Some f -> Observer.tee (Observer.of_fn (f ~seed)) observer
-  in
-  let mcfg =
-    {
-      Machine.policy = options.Options.policy;
-      seed;
-      fuel = options.Options.fuel;
-      instrument;
-      spurious_wakeups = options.Options.spurious_wakeups;
-      observer;
-    }
-  in
-  let trailer =
-    match Machine.run mcfg compiled with
-    | res ->
-        {
-          Codec.t_outcome = codec_outcome (Completed res.Machine.outcome);
-          t_steps = res.Machine.steps;
-          t_check_failures = res.Machine.check_failures;
-        }
-    | exception e ->
-        let floc, msg = describe_exn e in
-        {
-          Codec.t_outcome = Codec.Crashed (floc, msg);
-          t_steps = 0;
-          t_check_failures = [];
-        }
-  in
-  Codec.section_of_sink sink ~seed trailer
 
 let record ?(ctx = default_ctx) ?(mode = default_mode) ?(detect = false)
     ?(source = "") input =
@@ -796,37 +744,25 @@ let record ?(ctx = default_ctx) ?(mode = default_mode) ?(detect = false)
           h_program = text;
         }
       in
-      let ctx = { ctx with c_program_digest = Some digest } in
-      if detect then begin
-        let result, sections = run_live ctx mode program ~record:true in
-        if result.runs = [] then
-          (* the pipeline itself failed: nothing was recorded *)
+      let options = ctx.c_options in
+      let prepared = lazy (prepare ~digest options mode program) in
+      match
+        run_seeds ctx options mode prepared ~detect ~record:true
+          (executions options)
+      with
+      | Error msg -> Error (if detect then "pipeline: " ^ msg else msg)
+      | Ok (result, _) when detect && result.runs = [] ->
+          (* no seed ran: nothing was recorded *)
           Error
             (match result.health.h_notes with
             | n :: _ -> n
             | [] -> "record: pipeline failed")
-        else
+      | Ok (result, sections) ->
           Ok
             {
               rec_trace = Codec.assemble header sections;
-              rec_result = Some result;
-            }
-      end
-      else
-        match prepare ?digest:ctx.c_program_digest ctx.c_options mode program
-        with
-        | exception e -> Error (snd (describe_exn e))
-        | _program, instrument, _cv_mutexes, _inferred_locks, compiled ->
-            let options = ctx.c_options in
-            ignore (clamp_notes options);
-            let seed_body seed =
-              if ctx.c_should_stop () then Codec.cancelled_section ~seed
-              else record_seed options ~instrument compiled seed
-            in
-            let sections =
-              fan_out ctx options seed_body options.Options.seeds
-            in
-            Ok { rec_trace = Codec.assemble header sections; rec_result = None })
+              rec_result = (if detect then Some result else None);
+            })
 
 let mean_contexts r =
   match r.runs with
@@ -1009,6 +945,9 @@ let result_to_json r =
 (* ------------------------------------------------------------------ *)
 (* Same-trace comparison                                              *)
 
+(* Record once under lib+spin(k), then replay the identical sections
+   through an engine per mode: the algorithmic differences between
+   detectors, free of schedule variance. *)
 let compare_on_trace ?(options = Options.default) ~k program modes =
   List.iter
     (fun mode ->
@@ -1017,60 +956,29 @@ let compare_on_trace ?(options = Options.default) ~k program modes =
           "Driver.compare_on_trace: library-free modes run a different \
            (lowered) program and cannot share a trace")
     modes;
-  let instrument = Some (Arde_cfg.Instrument.analyze ~k program) in
-  let cv_mutexes =
-    List.sort_uniq String.compare
-      (List.concat_map
-         (fun f ->
-           List.concat_map
-             (fun b ->
-               List.filter_map
-                 (function
-                   | Cond_wait (_, m) -> Some m.base
-                   | _ -> None)
-                 b.ins)
-             f.blocks)
-         program.funcs)
+  let c = ctx ~options () in
+  let rec_mode = Config.Helgrind_spin k in
+  let prepared = lazy (prepare options rec_mode program) in
+  let seeds mode prepared ~detect ~record sources =
+    match run_seeds c options mode prepared ~detect ~record sources with
+    | Ok out -> out
+    | Error msg -> failwith msg
   in
-  let compiled = Machine.compile program in
-  let engines =
-    List.map
-      (fun mode ->
-        ( mode,
-          Report.create ~cap:max_int () ))
-      modes
+  let _, sections =
+    seeds rec_mode prepared ~detect:false ~record:true (executions options)
   in
-  List.iter
-    (fun seed ->
-      let trace = Arde_runtime.Trace.create () in
-      let mcfg =
-        {
-          Machine.policy = options.Options.policy;
-          seed;
-          fuel = options.Options.fuel;
-          instrument;
-          spurious_wakeups = options.Options.spurious_wakeups;
-          observer = Arde_runtime.Trace.observer trace;
-        }
+  let sources = List.map (fun sec -> Replay sec) sections in
+  List.map
+    (fun mode ->
+      (* Spin-less engines must not see the loop metadata, or they would
+         suppress marked bases like the spin-aware ones. *)
+      let p = Lazy.force prepared in
+      let p =
+        if Config.spin_k mode <> None then p
+        else { p with Analysis_cache.p_instrument = None }
       in
-      ignore (Machine.run mcfg compiled);
-      let events = Arde_runtime.Trace.events trace in
-      List.iter
-        (fun (mode, merged) ->
-          let detector_cfg =
-            Config.make ~sensitivity:options.Options.sensitivity
-              ~cap:options.Options.cap mode
-          in
-          (* Spin-less engines must not see the loop metadata, or they
-             would suppress marked bases like the spin-aware ones. *)
-          let mode_instrument =
-            if Config.spin_k mode <> None then instrument else None
-          in
-          let engine =
-            Engine.create ~cv_mutexes detector_cfg ~instrument:mode_instrument
-          in
-          List.iter (Engine.observer engine) events;
-          Report.merge_into merged (Engine.report engine))
-        engines)
-    options.Options.seeds;
-  engines
+      let result, _ =
+        seeds mode (Lazy.from_val p) ~detect:true ~record:false sources
+      in
+      (mode, result.merged))
+    modes

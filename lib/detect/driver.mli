@@ -1,28 +1,32 @@
 (** End-to-end detector runs: {!Input.t} + mode + context → merged report.
 
-    The live pipeline has three stages:
+    Every entry point is one pipeline with three stages:
 
     - {e prepare} (once per program): pick the program form — lowered for
       [Nolib_spin], as written otherwise — and run the instrumentation
       phase when the mode has a spin window.  Both go through
       {!Analysis_cache}, so repeated runs of the same program (suite
       sweeps, chaos storms, benchmarks) skip the static analysis.
-    - {e per-seed} (pure, parallel): execute the machine with the engine
-      attached as observer, one sandboxed run per seed, fanned out over a
-      domain pool [Options.jobs] wide.
+    - {e per-seed} (pure, parallel): one sandboxed runner per seed, fanned
+      out over a domain pool [Options.jobs] wide.  The runner's event
+      stream comes either from executing the machine or from a recorded
+      section; its observers attach in a fixed order — the chaos
+      injector (live runs only), then the recording sink (when
+      recording), then the engine and the CV checker (when detecting).
     - {e merge} (deterministic): fold the per-seed reports in seed order
       (a dynamic detector's findings accumulate over runs) and average
       the per-run racy-context counts (the paper's PARSEC metric).  The
       fold order is fixed, so results are byte-identical whatever the
       pool width.
 
-    The record/replay split decouples the first two: {!record} runs the
-    machine with a {!Trace_codec} sink attached and seals the event
-    stream into a compact binary trace; {!replay} runs the detection
-    half alone, streaming a recording through a fresh engine without
-    re-executing the program.  Replaying a recording produces results
-    byte-identical to the live run that made it — that identity is the
-    subsystem's correctness oracle. *)
+    Record/replay only changes where the stream comes from: {!record}
+    runs the machine with a {!Trace_codec} sink attached and seals the
+    event stream into a compact binary trace; {!replay} streams a
+    recording's sections through fresh engines without re-executing the
+    program; {!compare_on_trace} records once and replays the same
+    sections through one engine per mode.  Replaying a recording
+    produces results byte-identical to the live run that made it — that
+    identity is the subsystem's correctness oracle. *)
 
 open Arde_tir.Types
 
@@ -257,13 +261,12 @@ val record :
     [source] is a free-form origin label stored in the header (the CLI
     stores the workload name).  [Error] covers inputs that cannot be
     recorded: unparseable text, a pipeline that fails to prepare, or a
-    recording given as input. *)
+    recording given as input.  The two modes differ at the edges: with
+    [detect], an empty seed list is an [Error] and a failed prepare reads
+    ["pipeline: <msg>"]; without it, an empty seed list seals a
+    zero-section trace and a failed prepare reads ["<msg>"]. *)
 
 (** {1 Inspection helpers} *)
-
-val health_of : ?notes:string list -> seed_run list -> health
-(** Tally seed outcomes into a health record (exposed for harnesses that
-    assemble runs themselves). *)
 
 val mean_contexts : result -> float
 (** Average distinct racy contexts per seed — the paper's table entry. *)
@@ -307,9 +310,14 @@ val compare_on_trace :
   program ->
   Config.mode list ->
   (Config.mode * Report.t) list
-(** Record one event trace per seed (with spin instrumentation active) and
-    replay the {e identical} trace through an engine per mode, isolating
-    the algorithmic differences between detectors from schedule variance.
-    Modes that require lowering run a different program and are rejected.
+(** Record one event trace per seed under [lib+spin(k)] (spin
+    instrumentation active) and replay the {e identical} sections through
+    an engine per mode, isolating the algorithmic differences between
+    detectors from schedule variance.  Spin-less modes replay without the
+    loop metadata.  The recording honours [options] like {!record} does —
+    [count_callee_blocks], [inject], [jobs] included — and the reports
+    are independent of [jobs].  Modes that require lowering run a
+    different program and are rejected.
 
-    @raise Invalid_argument on a [needs_lowering] mode. *)
+    @raise Invalid_argument on a [needs_lowering] mode.
+    @raise Failure if the static half fails to prepare the program. *)

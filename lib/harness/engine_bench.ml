@@ -41,32 +41,15 @@ let alloc_words () =
   let s = Gc.quick_stat () in
   s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
-let cv_mutexes_of program =
-  List.sort_uniq String.compare
-    (List.concat_map
-       (fun f ->
-         List.concat_map
-           (fun b ->
-             List.filter_map
-               (function Cond_wait (_, m) -> Some m.base | _ -> None)
-               b.ins)
-           f.blocks)
-       program.funcs)
-
 (* One recorded execution of [program] under [mode]'s program form, with
-   whatever instrumentation the mode wants active in the machine. *)
+   whatever instrumentation the mode wants active in the machine.  The
+   static half comes from the driver's own {!Arde.Analysis_cache}. *)
 let record_trace info program mode ~fuel ~seed =
-  let program =
-    if Config.needs_lowering mode then
-      Arde.Lower.lower ~style:info.Arde_workloads.Parsec.nolib_style program
-    else program
+  let p =
+    Arde.Analysis_cache.prepare ~style:info.Arde_workloads.Parsec.nolib_style
+      ~count_callees:true mode program
   in
-  let instrument =
-    match Config.spin_k mode with
-    | Some k -> Some (Arde.Instrument.analyze ~k program)
-    | None -> None
-  in
-  let compiled = Machine.compile program in
+  let instrument = p.Arde.Analysis_cache.p_instrument in
   let trace = Trace.create () in
   let cfg =
     {
@@ -77,8 +60,8 @@ let record_trace info program mode ~fuel ~seed =
       observer = Trace.observer trace;
     }
   in
-  ignore (Machine.run cfg compiled);
-  (Trace.events trace, instrument, cv_mutexes_of program)
+  ignore (Machine.run cfg p.Arde.Analysis_cache.p_compiled);
+  (Trace.events trace, instrument, p.Arde.Analysis_cache.p_cv_mutexes)
 
 (* Replay [events] through fresh engines built by [make], [repeats] times
    plus a discarded warm-up; median time and allocation per repetition.

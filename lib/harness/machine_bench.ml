@@ -54,21 +54,6 @@ let alloc_words () =
   let s = Gc.quick_stat () in
   s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
-(* The mode's program form and instrumentation, as the detection driver
-   would prepare them. *)
-let prep info program mode =
-  let program =
-    if Config.needs_lowering mode then
-      Arde.Lower.lower ~style:info.Arde_workloads.Parsec.nolib_style program
-    else program
-  in
-  let instrument =
-    match Config.spin_k mode with
-    | Some k -> Some (Arde.Instrument.analyze ~k program)
-    | None -> None
-  in
-  (program, instrument)
-
 (* Time [repeats] full runs after one discarded warm-up; medians.  The
    run is deterministic, so steps/events are read off any repetition. *)
 let timed ~repeats run =
@@ -87,7 +72,14 @@ let timed ~repeats run =
   (median !times, median !allocs, Option.get !last)
 
 let bench_one ?(repeats = 3) info program mode ~fuel ~seed =
-  let program, instrument = prep info program mode in
+  (* the mode's program form and instrumentation, from the driver's own
+     static half *)
+  let p =
+    Arde.Analysis_cache.prepare ~style:info.Arde_workloads.Parsec.nolib_style
+      ~count_callees:true mode program
+  in
+  let program = p.Arde.Analysis_cache.p_program in
+  let instrument = p.Arde.Analysis_cache.p_instrument in
   let copt = Machine.compile program in
   let cref = Machine_ref.compile program in
   let cfg observer = { Machine.default_config with Machine.seed; fuel; instrument; observer } in

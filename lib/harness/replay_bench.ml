@@ -42,24 +42,10 @@ let timed ~repeats run =
   done;
   (median !times, Option.get !last)
 
-let prep info program mode =
-  let program =
-    if Config.needs_lowering mode then
-      Arde.Lower.lower ~style:info.Arde_workloads.Parsec.nolib_style program
-    else program
-  in
-  let instrument =
-    match Config.spin_k mode with
-    | Some k -> Some (Arde.Instrument.analyze ~k program)
-    | None -> None
-  in
-  (program, instrument)
-
 (* Machine-only overhead: the same compiled program and seed, quiet
    (default observer — the fast path stays armed) vs recording (a fresh
    sink per repetition, as the driver attaches one per seed). *)
-let sink_overhead program instrument ~fuel ~seed ~repeats =
-  let compiled = Machine.compile program in
+let sink_overhead compiled instrument ~fuel ~seed ~repeats =
   let quiet_cfg =
     { Machine.default_config with Machine.seed; fuel; instrument }
   in
@@ -78,9 +64,13 @@ let sink_overhead program instrument ~fuel ~seed ~repeats =
 let result_bytes r = J.to_string (Driver.result_to_json r)
 
 let bench_one ~repeats info program mode ~fuel ~seeds =
-  let prepped, instrument = prep info program mode in
+  let p =
+    Arde.Analysis_cache.prepare ~style:info.Arde_workloads.Parsec.nolib_style
+      ~count_callees:true mode program
+  in
   let steps, quiet_sps, record_sps, overhead =
-    sink_overhead prepped instrument ~fuel ~seed:(List.hd seeds) ~repeats
+    sink_overhead p.Arde.Analysis_cache.p_compiled
+      p.Arde.Analysis_cache.p_instrument ~fuel ~seed:(List.hd seeds) ~repeats
   in
   (* Live vs replay at the driver level: record once (with detection, so
      the live result rides along), then time both halves separately. *)

@@ -189,7 +189,7 @@ val encode_events : Event.t list -> string * int
 (** {1 Wire primitives}
 
     The varint/zigzag/length-prefix building blocks, exposed so other
-    binary codecs (the serve socket's binary wire, [Arde_server]) share
+    binary codecs (the serve bundle store, [Arde_server.Store]) share
     one implementation and one set of hostile-input checks instead of
     reinventing them.  A {!sink} doubles as a plain byte builder: ignore
     the interning tables and use only these writers, then take

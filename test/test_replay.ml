@@ -466,6 +466,51 @@ let test_record_without_detect_matches_live () =
           checks "record-then-replay equals the live run" (result_bytes live)
             (result_bytes replayed))
 
+(* [record]'s two edge cases, pinned as they stand: the detecting and
+   the record-only paths disagree on an empty seed list (the former finds
+   no run and reports a failed pipeline, the latter seals an empty trace)
+   and on how a failed static half is worded. *)
+let test_record_edge_cases () =
+  let case = List.hd (identity_cases ()) in
+  let record ~detect ~seeds program =
+    Arde.record
+      ~ctx:(D.ctx ~options:(Arde.Options.make ~seeds ~jobs:1 ()) ())
+      ~mode:(Arde.Config.Helgrind_spin 7) ~detect (Arde.Input.Program program)
+  in
+  (match record ~detect:true ~seeds:[] case.W.Racey.program with
+  | Error e -> checks "detecting, no seeds" "record: pipeline failed" e
+  | Ok _ -> Alcotest.fail "detecting record of no seeds succeeded");
+  (match record ~detect:false ~seeds:[] case.W.Racey.program with
+  | Error e -> Alcotest.failf "record-only, no seeds: %s" e
+  | Ok { D.rec_trace; rec_result } -> (
+      checkb "record-only has no result" true (rec_result = None);
+      match C.read_sections rec_trace with
+      | Ok (_, sections) -> checki "zero sections" 0 (List.length sections)
+      | Error e -> Alcotest.failf "read_sections: %s" (C.error_to_string e)));
+  (* an undeclared global: the static half cannot compile it *)
+  let invalid =
+    let open Arde.Builder in
+    program ~entry:"main"
+      [ func "main" [ blk "e" [ store (g "nope") (imm 1) ] exit_t ] ]
+  in
+  let prepare_error =
+    match
+      Arde.detect
+        ~ctx:(D.ctx ~options:(Arde.Options.make ~seeds:[ 1 ] ()) ())
+        ~mode:(Arde.Config.Helgrind_spin 7) (Arde.Input.Program invalid)
+    with
+    | { D.health = { D.h_notes = [ n ]; _ }; _ }
+      when String.starts_with ~prefix:"pipeline: " n ->
+        String.sub n 10 (String.length n - 10)
+    | _ -> Alcotest.fail "expected exactly one pipeline note"
+  in
+  (match record ~detect:true ~seeds:[ 1 ] invalid with
+  | Error e -> checks "detecting, prepare fails" ("pipeline: " ^ prepare_error) e
+  | Ok _ -> Alcotest.fail "recorded an uncompilable program");
+  match record ~detect:false ~seeds:[ 1 ] invalid with
+  | Error e -> checks "record-only, prepare fails" prepare_error e
+  | Ok _ -> Alcotest.fail "recorded an uncompilable program"
+
 (* -- the typed loader's cross-checks ------------------------------- *)
 
 let recorded_fixture () =
@@ -566,6 +611,7 @@ let suite =
       test_identity_under_cancellation;
     Alcotest.test_case "record without detect matches live" `Quick
       test_record_without_detect_matches_live;
+    Alcotest.test_case "record edge cases" `Quick test_record_edge_cases;
     Alcotest.test_case "loader rejects digest mismatch" `Quick
       test_loader_rejects_digest_mismatch;
     Alcotest.test_case "loader rejects unknown mode" `Quick

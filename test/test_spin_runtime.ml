@@ -179,6 +179,41 @@ let test_compare_on_trace () =
   Alcotest.(check bool) "drd reports data too" true
     (List.mem "data" (bases Arde.Config.Drd))
 
+(* The same-trace comparison must agree with the ordinary per-mode runs:
+   on the lib-mode program the spin instrumentation changes no schedule,
+   so replaying the lib+spin(k) recording through each engine yields the
+   merged report a live run of that mode produces — and the pool width
+   must not show. *)
+let test_compare_matches_per_mode_runs () =
+  let modes =
+    [ Arde.Config.Helgrind_lib; Arde.Config.Helgrind_spin 7; Arde.Config.Drd ]
+  in
+  let json r = Arde.Json.to_string (Arde.Report.to_json r) in
+  List.iter
+    (fun (c : Arde_workloads.Racey.case) ->
+      let options jobs = Arde.Options.make ~seeds:[ 1; 2; 3 ] ~jobs () in
+      let compared jobs =
+        Arde.Driver.compare_on_trace ~options:(options jobs) ~k:7
+          c.Arde_workloads.Racey.program modes
+      in
+      let serial = compared 1 and pooled = compared 2 in
+      List.iter
+        (fun mode ->
+          let what = c.Arde_workloads.Racey.name ^ " " ^ Arde.Config.mode_name mode in
+          let live =
+            Arde.detect
+              ~ctx:(Arde.Driver.ctx ~options:(options 1) ())
+              ~mode
+              (Arde.Input.Program c.Arde_workloads.Racey.program)
+          in
+          let got = json (List.assoc mode serial) in
+          Alcotest.(check string) (what ^ ": equals the live run")
+            (json live.Arde.Driver.merged) got;
+          Alcotest.(check string) (what ^ ": jobs 1 = jobs 2") got
+            (json (List.assoc mode pooled)))
+        modes)
+    (Arde_workloads.Racey.all ())
+
 let test_compare_rejects_lowering_modes () =
   let c =
     match Arde_workloads.Racey.find "adhoc_flag_w2/2" with
@@ -204,4 +239,6 @@ let suite =
     Alcotest.test_case "same-trace mode comparison" `Quick test_compare_on_trace;
     Alcotest.test_case "same-trace rejects lowering modes" `Quick
       test_compare_rejects_lowering_modes;
+    Alcotest.test_case "same-trace comparison matches per-mode runs" `Quick
+      test_compare_matches_per_mode_runs;
   ]
