@@ -1,13 +1,5 @@
-type stats = {
-  lower_hits : int;
-  lower_misses : int;
-  instrument_hits : int;
-  instrument_misses : int;
-  prepare_hits : int;
-  prepare_misses : int;
-}
-
 type prepared = {
+  p_source : Arde_tir.Types.program;
   p_program : Arde_tir.Types.program;
   p_instrument : Arde_cfg.Instrument.t option;
   p_cv_mutexes : string list;
@@ -15,31 +7,48 @@ type prepared = {
   p_compiled : Arde_runtime.Machine.compiled;
 }
 
-let lock = Mutex.create ()
-let lower_tbl : (string * Arde_tir.Lower.style, Arde_tir.Types.program) Hashtbl.t =
-  Hashtbl.create 64
-let inst_tbl : (string * int * bool, Arde_cfg.Instrument.t) Hashtbl.t =
-  Hashtbl.create 64
+type stats = {
+  prepare_hits : int;
+  prepare_misses : int;
+  disk_hits : int;
+  disk_misses : int;
+  saves : int;
+  evictions : int;
+  corrupt_recovered : int;
+  store_errors : int;
+}
 
-(* The prepared table holds a [Machine.compiled] per entry — the heaviest
-   cached object by far (code arrays plus the per-instrumentation spin
-   cache built on first run) — so unlike the two inner tables it is
-   bounded: insertion order is tracked in [prep_order] and the oldest
+let lock = Mutex.create ()
+
+(* Each entry holds a [Machine.compiled] (code arrays plus the
+   per-instrumentation spin cache built on first run) and the parsed
+   program the serve worker reuses instead of re-parsing, so the table
+   is bounded: insertion order is tracked in [prep_order] and the oldest
    entry is evicted past [max_prepared].  A resident server seeing an
    endless stream of unique programs therefore plateaus instead of
    growing without bound. *)
 let max_prepared = 128
-let prep_tbl : (string * string * Arde_tir.Lower.style * bool, prepared) Hashtbl.t =
-  Hashtbl.create 64
-let prep_order : (string * string * Arde_tir.Lower.style * bool) Queue.t =
-  Queue.create ()
 
-let lower_hits = ref 0
-let lower_misses = ref 0
-let inst_hits = ref 0
-let inst_misses = ref 0
-let prep_hits = ref 0
-let prep_misses = ref 0
+type key = string * string * Arde_tir.Lower.style * bool
+
+let prep_tbl : (key, prepared) Hashtbl.t = Hashtbl.create 64
+let prep_order : key Queue.t = Queue.create ()
+
+(* The one counter set, guarded by [lock]: memory lookups and the
+   outcomes the store hook reports. *)
+let zero_stats =
+  {
+    prepare_hits = 0;
+    prepare_misses = 0;
+    disk_hits = 0;
+    disk_misses = 0;
+    saves = 0;
+    evictions = 0;
+    corrupt_recovered = 0;
+    store_errors = 0;
+  }
+
+let counts = ref zero_stats
 let on = ref true
 
 (* Optional second cache level behind the in-memory table, registered by
@@ -53,9 +62,12 @@ type store_key = {
   sk_count_callees : bool;
 }
 
+type load = Loaded of prepared | Absent | Corrupt
+type save = Saved of { evicted : int } | Save_failed
+
 type store = {
-  store_load : store_key -> prepared option;
-  store_save : store_key -> prepared -> unit;
+  store_load : store_key -> load;
+  store_save : store_key -> prepared -> save;
 }
 
 let store_hook : store option ref = ref None
@@ -63,66 +75,29 @@ let store_hook : store option ref = ref None
 (* Keys being computed right now, for single-flight: concurrent callers
    missing on the same key wait for the first instead of recomputing
    (and, with a store registered, instead of racing the write-back). *)
-let inflight : (string * string * Arde_tir.Lower.style * bool, unit) Hashtbl.t =
-  Hashtbl.create 8
-
+let inflight : (key, unit) Hashtbl.t = Hashtbl.create 8
 let flight_done = Condition.create ()
 
 let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
+let bump f = counts := f !counts
+let count f = locked (fun () -> bump f)
+
 let digest_of_program prog =
   Digest.string (Arde_tir.Pretty.program_to_string prog)
 
-(* Look up under the mutex; compute outside it (analysis can be slow and
-   must not serialize unrelated cache users), then publish.  A racing
-   duplicate computation is harmless: both compute equal values and the
-   second [replace] wins. *)
-let memo tbl hits misses key compute =
-  let cached =
-    locked (fun () ->
-        if !on then
-          match Hashtbl.find_opt tbl key with
-          | Some v ->
-              incr hits;
-              Some v
-          | None ->
-              incr misses;
-              None
-        else begin
-          incr misses;
-          None
-        end)
-  in
-  match cached with
-  | Some v -> v
-  | None ->
-      let v = compute () in
-      locked (fun () -> if !on then Hashtbl.replace tbl key v);
-      v
-
-let lowered ~style prog =
-  memo lower_tbl lower_hits lower_misses
-    (digest_of_program prog, style)
-    (fun () -> Arde_tir.Lower.lower ~style prog)
-
-let instrumented ~count_callees ~k prog =
-  memo inst_tbl inst_hits inst_misses
-    (digest_of_program prog, k, count_callees)
-    (fun () -> Arde_cfg.Instrument.analyze ~count_callees ~k prog)
-
 (* The full static half of the pipeline, computed once per
-   (program, mode, knobs).  The inner stages still route through
-   [lowered] / [instrumented], so a prepared miss records their
-   hits/misses as before; a prepared hit touches neither. *)
-let compute_prepared ~style ~count_callees mode program =
+   (program, mode, knobs). *)
+let compute_prepared ~style ~count_callees mode source =
   let program =
-    if Config.needs_lowering mode then lowered ~style program else program
+    if Config.needs_lowering mode then Arde_tir.Lower.lower ~style source
+    else source
   in
   let instrument =
     match Config.spin_k mode with
-    | Some k -> Some (instrumented ~count_callees ~k program)
+    | Some k -> Some (Arde_cfg.Instrument.analyze ~count_callees ~k program)
     | None -> None
   in
   let cv_mutexes =
@@ -147,6 +122,7 @@ let compute_prepared ~style ~count_callees mode program =
   in
   let compiled = Arde_runtime.Machine.compile program in
   {
+    p_source = source;
     p_program = program;
     p_instrument = instrument;
     p_cv_mutexes = cv_mutexes;
@@ -165,25 +141,54 @@ let publish_prepared key v =
     done
   end
 
+let key_of ~digest ~style ~count_callees mode =
+  (digest, Config.mode_id mode, style, count_callees)
+
+let find ~digest ~style ~count_callees mode =
+  locked (fun () ->
+      if !on then
+        Hashtbl.find_opt prep_tbl (key_of ~digest ~style ~count_callees mode)
+      else None)
+
+(* Memory miss: ask the store, else compute.  A bundle off disk gets the
+   caller's program as its source — the digest identifies it. *)
+let load_or_compute hook skey ~style ~count_callees mode program =
+  let compute () = compute_prepared ~style ~count_callees mode program in
+  match hook with
+  | None -> (compute (), false)
+  | Some s -> (
+      match s.store_load skey with
+      | Loaded v ->
+          count (fun c -> { c with disk_hits = c.disk_hits + 1 });
+          ({ v with p_source = program }, false)
+      | Absent ->
+          count (fun c -> { c with disk_misses = c.disk_misses + 1 });
+          (compute (), true)
+      | Corrupt ->
+          count (fun c ->
+              { c with corrupt_recovered = c.corrupt_recovered + 1 });
+          (compute (), true))
+
 let prepare ?digest ~style ~count_callees mode program =
   let digest =
     match digest with Some d -> d | None -> digest_of_program program
   in
-  let key = (digest, Config.mode_id mode, style, count_callees) in
+  let key = key_of ~digest ~style ~count_callees mode in
   (* Claim the key under the mutex: hit, wait (someone is computing it),
      or compute.  Waiters re-read the table when woken — if the computing
      caller failed or the cache was disabled meanwhile, one of them
      claims the compute slot instead. *)
   Mutex.lock lock;
   let rec claim () =
+    let miss c = { c with prepare_misses = c.prepare_misses + 1 } in
     if not !on then begin
-      incr prep_misses;
+      bump miss;
       `Compute_uncached
     end
     else
       match Hashtbl.find_opt prep_tbl key with
       | Some v ->
-          incr prep_hits;
+          bump (fun c -> { c with prepare_hits = c.prepare_hits + 1 });
           `Hit v
       | None ->
           if Hashtbl.mem inflight key then begin
@@ -191,7 +196,7 @@ let prepare ?digest ~style ~count_callees mode program =
             claim ()
           end
           else begin
-            incr prep_misses;
+            bump miss;
             Hashtbl.add inflight key ();
             `Compute
           end
@@ -218,13 +223,7 @@ let prepare ?digest ~style ~count_callees mode program =
           }
         in
         let v, fresh =
-          match hook with
-          | Some s -> (
-              match s.store_load skey with
-              | Some v -> (v, false)
-              | None ->
-                  (compute_prepared ~style ~count_callees mode program, true))
-          | None -> (compute_prepared ~style ~count_callees mode program, true)
+          load_or_compute hook skey ~style ~count_callees mode program
         in
         locked (fun () ->
             publish_prepared key v;
@@ -233,7 +232,17 @@ let prepare ?digest ~style ~count_callees mode program =
         (* Write back after releasing the waiters: serialization forces
            the spin-cache build and nobody needs to wait through it. *)
         (match hook with
-        | Some s when fresh -> s.store_save skey v
+        | Some s when fresh -> (
+            match s.store_save skey v with
+            | Saved { evicted } ->
+                count (fun c ->
+                    {
+                      c with
+                      saves = c.saves + 1;
+                      evictions = c.evictions + evicted;
+                    })
+            | Save_failed ->
+                count (fun c -> { c with store_errors = c.store_errors + 1 }))
         | _ -> ());
         v
       with
@@ -242,51 +251,42 @@ let prepare ?digest ~style ~count_callees mode program =
           release ();
           raise e)
 
-let stats () =
-  locked (fun () ->
-      {
-        lower_hits = !lower_hits;
-        lower_misses = !lower_misses;
-        instrument_hits = !inst_hits;
-        instrument_misses = !inst_misses;
-        prepare_hits = !prep_hits;
-        prepare_misses = !prep_misses;
-      })
+let stats () = locked (fun () -> !counts)
 
 let stats_delta ~before ~after =
   {
-    lower_hits = after.lower_hits - before.lower_hits;
-    lower_misses = after.lower_misses - before.lower_misses;
-    instrument_hits = after.instrument_hits - before.instrument_hits;
-    instrument_misses = after.instrument_misses - before.instrument_misses;
     prepare_hits = after.prepare_hits - before.prepare_hits;
     prepare_misses = after.prepare_misses - before.prepare_misses;
+    disk_hits = after.disk_hits - before.disk_hits;
+    disk_misses = after.disk_misses - before.disk_misses;
+    saves = after.saves - before.saves;
+    evictions = after.evictions - before.evictions;
+    corrupt_recovered = after.corrupt_recovered - before.corrupt_recovered;
+    store_errors = after.store_errors - before.store_errors;
   }
 
 let stats_to_json s =
   Arde_util.Json.Obj
     [
-      ("lower_hits", Arde_util.Json.Int s.lower_hits);
-      ("lower_misses", Arde_util.Json.Int s.lower_misses);
-      ("instrument_hits", Arde_util.Json.Int s.instrument_hits);
-      ("instrument_misses", Arde_util.Json.Int s.instrument_misses);
       ("prepare_hits", Arde_util.Json.Int s.prepare_hits);
       ("prepare_misses", Arde_util.Json.Int s.prepare_misses);
     ]
 
-let reset_stats () =
-  locked (fun () ->
-      lower_hits := 0;
-      lower_misses := 0;
-      inst_hits := 0;
-      inst_misses := 0;
-      prep_hits := 0;
-      prep_misses := 0)
+let store_stats_to_json s =
+  Arde_util.Json.Obj
+    [
+      ("disk_hits", Arde_util.Json.Int s.disk_hits);
+      ("disk_misses", Arde_util.Json.Int s.disk_misses);
+      ("saves", Arde_util.Json.Int s.saves);
+      ("evictions", Arde_util.Json.Int s.evictions);
+      ("corrupt_recovered", Arde_util.Json.Int s.corrupt_recovered);
+      ("store_errors", Arde_util.Json.Int s.store_errors);
+    ]
+
+let reset_stats () = locked (fun () -> counts := zero_stats)
 
 let clear () =
   locked (fun () ->
-      Hashtbl.reset lower_tbl;
-      Hashtbl.reset inst_tbl;
       Hashtbl.reset prep_tbl;
       Queue.clear prep_order)
 

@@ -508,16 +508,24 @@ let resolve_text text =
 (* ------------------------------------------------------------------ *)
 (* Replay: the detection half alone, fed from a recording             *)
 
+(* A recording's cache key: the caller's digest when it gave one (the
+   serve worker's, so a recording shares the bundle of the request that
+   made it), else the canonical digest, verified against the embedded
+   text at load time. *)
+let recorded_digest (c : ctx) recorded =
+  match c.c_program_digest with
+  | Some d -> d
+  | None -> Digest.from_hex (Recorded.digest_hex recorded)
+
 let replay ?(ctx = default_ctx) recorded =
   (* Everything that shapes detection comes from the recording — mode,
      sensitivity, cap, seeds — so a replayed result is comparable byte
      for byte with the live run that produced the trace.  The caller's
-     [ctx] contributes only execution machinery: engine choice, pool,
-     cancellation. *)
+     [ctx] contributes only execution machinery (engine choice, pool,
+     cancellation) and the cache key. *)
   let mode = Recorded.mode recorded in
   let options = Recorded.options recorded in
-  (* verified equal to the canonical digest at load time *)
-  let digest = Digest.from_hex (Recorded.digest_hex recorded) in
+  let digest = recorded_digest ctx recorded in
   let prepared =
     lazy (prepare ~digest options mode (Recorded.program recorded))
   in
@@ -699,8 +707,9 @@ let run ?(ctx = default_ctx) ?mode input =
               (* prepare under the RECORDED mode/options: the predictor
                  must suppress exactly the bases the recorded run's
                  engine did *)
-              let digest = Digest.from_hex (Recorded.digest_hex r) in
-              let c = { ctx with c_program_digest = Some digest } in
+              let c =
+                { ctx with c_program_digest = Some (recorded_digest ctx r) }
+              in
               predict_into c (Recorded.options r) (Recorded.mode r)
                 (Recorded.program r) result (Recorded.sections r)))
   | Input.Program program ->
@@ -745,7 +754,15 @@ let record ?(ctx = default_ctx) ?(mode = default_mode) ?(detect = false)
         }
       in
       let options = ctx.c_options in
-      let prepared = lazy (prepare ~digest options mode program) in
+      (* A caller's own key (the serve worker's request digest) keys the
+         cache as on the live path, so a repeat recording finds the
+         bundle a run of the same request left. *)
+      let prepared =
+        lazy
+          (prepare
+             ~digest:(Option.value ctx.c_program_digest ~default:digest)
+             options mode program)
+      in
       match
         run_seeds ctx options mode prepared ~detect ~record:true
           (executions options)

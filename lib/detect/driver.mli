@@ -82,9 +82,10 @@ type ctx = {
           their reports — the primitive behind the server's deadlines
           and graceful drain. *)
   c_program_digest : string option;
-      (** caller-supplied key uniquely identifying the input program,
-          forwarded to {!Analysis_cache.prepare} so the warm path skips
-          the canonical-digest pretty-print *)
+      (** caller-supplied key uniquely identifying the input program
+          (for a replay, the recording's program), forwarded to
+          {!Analysis_cache.prepare} by every entry point so the warm
+          path skips the canonical-digest pretty-print *)
 }
 
 val ctx :
@@ -233,7 +234,8 @@ val replay : ?ctx:ctx -> Recorded.t -> result
     seed — outcome, steps, check failures — is taken from the section
     trailer.  Mode, sensitivity, cap and seeds come from the recording
     (a replayed result is byte-identical to the live run that recorded
-    it); [ctx] contributes only engine choice, pool and cancellation.
+    it); [ctx] contributes only engine choice, pool, cancellation and,
+    through [c_program_digest], the cache key.
     Does not raise: an undecodable section becomes a [Crashed] seed
     carrying the partial report. *)
 

@@ -9,80 +9,10 @@ let magic = "ARDEBNDL"
 let version = 1
 let suffix = ".bundle"
 
-(* ------------------------------------------------------------------ *)
-(* Counters                                                           *)
-
-type stats = {
-  st_hits : int;
-  st_misses : int;
-  st_saves : int;
-  st_evictions : int;
-  st_corrupt : int;
-  st_errors : int;
-}
-
-let zero_stats =
-  {
-    st_hits = 0;
-    st_misses = 0;
-    st_saves = 0;
-    st_evictions = 0;
-    st_corrupt = 0;
-    st_errors = 0;
-  }
-
-let stats_delta ~before ~after =
-  {
-    st_hits = after.st_hits - before.st_hits;
-    st_misses = after.st_misses - before.st_misses;
-    st_saves = after.st_saves - before.st_saves;
-    st_evictions = after.st_evictions - before.st_evictions;
-    st_corrupt = after.st_corrupt - before.st_corrupt;
-    st_errors = after.st_errors - before.st_errors;
-  }
-
-let stats_to_json s =
-  J.Obj
-    [
-      ("disk_hits", J.Int s.st_hits);
-      ("disk_misses", J.Int s.st_misses);
-      ("saves", J.Int s.st_saves);
-      ("evictions", J.Int s.st_evictions);
-      ("corrupt_recovered", J.Int s.st_corrupt);
-      ("store_errors", J.Int s.st_errors);
-    ]
-
-let stats_of_json j =
-  let int name = match J.member name j with Some (J.Int n) -> n | _ -> 0 in
-  {
-    st_hits = int "disk_hits";
-    st_misses = int "disk_misses";
-    st_saves = int "saves";
-    st_evictions = int "evictions";
-    st_corrupt = int "corrupt_recovered";
-    st_errors = int "store_errors";
-  }
-
-let stats_add a b =
-  {
-    st_hits = a.st_hits + b.st_hits;
-    st_misses = a.st_misses + b.st_misses;
-    st_saves = a.st_saves + b.st_saves;
-    st_evictions = a.st_evictions + b.st_evictions;
-    st_corrupt = a.st_corrupt + b.st_corrupt;
-    st_errors = a.st_errors + b.st_errors;
-  }
-
 type t = {
   dir : string;
   max_bytes : int;
-  lock : Mutex.t; (* counters + sweep; entry I/O itself is lock-free *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable saves : int;
-  mutable evictions : int;
-  mutable corrupt : int;
-  mutable errors : int;
+  lock : Mutex.t; (* serialises sweeps; entry I/O itself is lock-free *)
 }
 
 let dir t = t.dir
@@ -94,18 +24,7 @@ let create ?(max_mb = default_max_mb) ~dir () =
     if not (Sys.is_directory dir) then failwith (dir ^ ": not a directory")
   with
   | () ->
-      Ok
-        {
-          dir;
-          max_bytes = max_mb * 1024 * 1024;
-          lock = Mutex.create ();
-          hits = 0;
-          misses = 0;
-          saves = 0;
-          evictions = 0;
-          corrupt = 0;
-          errors = 0;
-        }
+      Ok { dir; max_bytes = max_mb * 1024 * 1024; lock = Mutex.create () }
   | exception Unix.Unix_error (err, fn, _) ->
       Error
         (Printf.sprintf "store %s: %s: %s" dir fn (Unix.error_message err))
@@ -114,17 +33,6 @@ let create ?(max_mb = default_max_mb) ~dir () =
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let stats t =
-  locked t (fun () ->
-      {
-        st_hits = t.hits;
-        st_misses = t.misses;
-        st_saves = t.saves;
-        st_evictions = t.evictions;
-        st_corrupt = t.corrupt;
-        st_errors = t.errors;
-      })
 
 (* ------------------------------------------------------------------ *)
 (* Naming                                                             *)
@@ -294,6 +202,7 @@ let decode ~digest ~mode ~style ~count_callees bytes =
   | Some _, None | None, None -> ()
   | None, Some _ -> failwith "spin cache for uninstrumented mode");
   {
+    AC.p_source = program;
     AC.p_program = program;
     AC.p_instrument = instrument;
     AC.p_cv_mutexes = cv_mutexes;
@@ -386,24 +295,20 @@ let load t (k : AC.store_key) =
       ~count_callees:k.AC.sk_count_callees
   in
   match Util.read_file path with
-  | Error _ ->
-      locked t (fun () -> t.misses <- t.misses + 1);
-      None
+  | Error _ -> AC.Absent
   | Ok bytes -> (
       match
         decode ~digest:k.AC.sk_digest ~mode:k.AC.sk_mode ~style:k.AC.sk_style
           ~count_callees:k.AC.sk_count_callees bytes
       with
       | p ->
-          locked t (fun () -> t.hits <- t.hits + 1);
           touch path;
-          Some p
+          AC.Loaded p
       | exception (Tc.Err _ | Failure _ | Invalid_argument _) ->
           (* Fail open: a corrupt, truncated, versioned-out or
              wrong-keyed entry is deleted and recomputed, never fatal. *)
           remove_entry path;
-          locked t (fun () -> t.corrupt <- t.corrupt + 1);
-          None)
+          AC.Corrupt)
 
 let save t (k : AC.store_key) (p : AC.prepared) =
   let mode_id = Arde.Config.mode_id k.AC.sk_mode in
@@ -417,15 +322,11 @@ let save t (k : AC.store_key) (p : AC.prepared) =
   with
   | bytes -> (
       match write_atomic path bytes with
-      | Ok () ->
-          locked t (fun () ->
-              t.saves <- t.saves + 1;
-              let n = sweep_to t t.max_bytes in
-              t.evictions <- t.evictions + n)
+      | Ok () -> AC.Saved { evicted = locked t (fun () -> sweep_to t t.max_bytes) }
       | Error _ ->
           (* ENOSPC and friends: serving degrades to compute-only. *)
-          locked t (fun () -> t.errors <- t.errors + 1))
-  | exception _ -> locked t (fun () -> t.errors <- t.errors + 1)
+          AC.Save_failed)
+  | exception _ -> AC.Save_failed
 
 let analysis_store t =
   { AC.store_load = load t; AC.store_save = save t }
@@ -491,11 +392,7 @@ let entries t =
                })
   |> List.sort (fun a b -> compare a.e_age_s b.e_age_s)
 
-let gc t ~max_bytes =
-  locked t (fun () ->
-      let n = sweep_to t max_bytes in
-      t.evictions <- t.evictions + n;
-      n)
+let gc t ~max_bytes = locked t (fun () -> sweep_to t max_bytes)
 
 let clear t =
   let files = entry_files t in
@@ -515,5 +412,4 @@ let verify t =
           remove_entry path;
           incr deleted)
     (entry_files t);
-  locked t (fun () -> t.corrupt <- t.corrupt + !deleted);
   (!kept, !deleted)

@@ -27,10 +27,11 @@
     content (the encoding is deterministic).  Every load failure —
     truncation, checksum mismatch, unknown version, key echo mismatch,
     unparsable program, spin-cache shape mismatch — is fail-open: the
-    entry is deleted, the [corrupt_recovered] counter bumps, and the
-    caller recomputes.  Write failures (ENOSPC and friends) bump
-    [store_errors] and serving degrades to compute-only.  Nothing in
-    this module is ever fatal to the worker.
+    entry is deleted, the load reports [Corrupt], and the caller
+    recomputes.  Write failures (ENOSPC and friends) report
+    [Save_failed] and serving degrades to compute-only.  Nothing in
+    this module is ever fatal to the worker.  The store keeps no
+    counters: {!Arde.Analysis_cache} counts the outcomes it reports.
 
     {b Sweep.}  After each write-back the directory is swept
     oldest-mtime-first down to the size bound; a disk hit freshens its
@@ -50,26 +51,6 @@ val dir : t -> string
 val analysis_store : t -> Arde.Analysis_cache.store
 (** The hook to register with {!Arde.Analysis_cache.set_store}: load on
     memory miss, save on fresh compute. *)
-
-(** {2 Counters} *)
-
-type stats = {
-  st_hits : int;  (** entries loaded from disk *)
-  st_misses : int;  (** lookups finding no entry *)
-  st_saves : int;  (** successful write-backs *)
-  st_evictions : int;  (** entries removed by the LRU sweep *)
-  st_corrupt : int;  (** corrupt/versioned-out entries recovered *)
-  st_errors : int;  (** failed writes/encodes (ENOSPC, …) *)
-}
-
-val zero_stats : stats
-val stats : t -> stats
-val stats_delta : before:stats -> after:stats -> stats
-val stats_add : stats -> stats -> stats
-val stats_to_json : stats -> Arde.Json.t
-val stats_of_json : Arde.Json.t -> stats
-(** Inverse of {!stats_to_json}, absent fields reading as 0 — used by
-    the supervisor to aggregate worker-reported deltas. *)
 
 val usage : t -> int * int
 (** [(entries, bytes)] currently on disk. *)
@@ -97,8 +78,8 @@ val clear : t -> int
 (** Delete every entry; returns entries removed. *)
 
 val verify : t -> int * int
-(** Full checksum walk: [(kept, deleted)].  Corrupt entries are deleted
-    and counted into [corrupt_recovered]. *)
+(** Full checksum walk: [(kept, deleted)].  Corrupt entries are
+    deleted. *)
 
 (**/**)
 

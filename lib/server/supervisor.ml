@@ -3,6 +3,7 @@
 
 module J = Arde.Json
 module P = Protocol
+module AC = Arde.Analysis_cache
 
 type knobs = {
   k_exec : string;
@@ -59,8 +60,9 @@ type t = {
   store : Store.t option;
       (* the supervisor never loads or saves bundles — this handle only
          scans the directory for [stats_json]'s usage figures *)
-  mutable store_stats : Store.stats;
-      (* daemon-wide totals, aggregated from worker [done] frames *)
+  mutable store_stats : (string * J.t) list;
+      (* daemon-wide counter totals by name, summed from worker [done]
+         frames *)
   mutable crashes : int;
   mutable restarts : int;
   mutable watchdog_kills : int;
@@ -125,7 +127,10 @@ let create ~knobs ~spool ~workers =
       knobs;
       spool;
       store;
-      store_stats = Store.zero_stats;
+      store_stats =
+        (match AC.store_stats_to_json AC.zero_stats with
+        | J.Obj fields -> fields
+        | _ -> []);
       workers =
         Array.init (max 1 workers) (fun i ->
             {
@@ -200,7 +205,13 @@ let note_done t i =
 (* Fold a worker-reported store-counter delta (a [done] frame's [store]
    field) into the daemon-wide totals. *)
 let note_store t json =
-  t.store_stats <- Store.stats_add t.store_stats (Store.stats_of_json json)
+  t.store_stats <-
+    List.map
+      (fun (name, total) ->
+        match (total, J.member name json) with
+        | J.Int n, Some (J.Int d) -> (name, J.Int (n + d))
+        | _ -> (name, total))
+      t.store_stats
 
 let send_to_worker t i payload =
   let w = worker t i in
@@ -420,11 +431,6 @@ let store_json t =
   | None -> J.Obj [ ("enabled", J.Bool false) ]
   | Some s ->
       let entries, bytes = Store.usage s in
-      let counters =
-        match Store.stats_to_json t.store_stats with
-        | J.Obj fields -> fields
-        | _ -> []
-      in
       J.Obj
         ([
            ("enabled", J.Bool true);
@@ -432,7 +438,7 @@ let store_json t =
            ("entries", J.Int entries);
            ("bytes", J.Int bytes);
          ]
-        @ counters)
+        @ t.store_stats)
 
 let stats_json t =
   J.Obj

@@ -9,6 +9,7 @@
 
 module J = Arde.Json
 module P = Protocol
+module AC = Arde.Analysis_cache
 
 let marker = "__arde-serve-worker__"
 
@@ -94,20 +95,25 @@ let parse_args argv =
 type state = {
   args : args;
   spool : Spool.t;
-  store : Store.t option; (* the shared on-disk bundle store *)
+  store : bool; (* the shared on-disk bundle store opened *)
   pool : Arde.Domain_pool.pool;
-  programs : (string, Arde.Types.program) Hashtbl.t;
   mutable count : int; (* requests executed, drives the chaos plan *)
 }
 
 (* [digest] comes from the job header — the supervisor already digested
    the program for affinity routing, so the worker never re-hashes the
-   (potentially very large) text. *)
-let lookup_program st ~digest text =
-  match Hashtbl.find_opt st.programs digest with
-  | Some p -> Ok p
+   (potentially very large) text.  A repeat finds its prepared bundle in
+   memory under that digest and takes the program as submitted from it,
+   unparsed; anything else is parsed and validated here. *)
+let lookup_program ~digest (rp : P.program_request) =
+  let options = rp.P.rp_options in
+  match
+    AC.find ~digest ~style:options.Arde.Options.lower_style
+      ~count_callees:options.Arde.Options.count_callee_blocks rp.P.rp_mode
+  with
+  | Some p -> Ok p.AC.p_source
   | None -> (
-      match Arde.Parse.program text with
+      match Arde.Parse.program rp.P.rp_program with
       | Error e -> Error ("program: " ^ Arde.Parse.error_to_string e)
       | Ok p -> (
           match Arde.Validate.check p with
@@ -116,44 +122,20 @@ let lookup_program st ~digest text =
                 ("program: "
                 ^ String.concat "; "
                     (List.map Arde.Validate.error_to_string es))
-          | Ok () ->
-              Hashtbl.replace st.programs digest p;
-              Ok p))
+          | Ok () -> Ok p))
 
-(* Returns the canonical JSON response; in record mode it carries the
-   trace base64-encoded in its ["trace"] field. *)
+(* Runs one request: [Ok (result, extra fields)] for a detection result
+   (in record mode [extra] carries the trace base64-encoded in its
+   ["trace"] field), [Error response] for a finished error response. *)
 let execute st ~digest (req : P.run_request) =
-  let before = Arde.Analysis_cache.stats () in
-  let store_before =
-    match st.store with Some s -> Store.stats s | None -> Store.zero_stats
-  in
   let started = Util.now () in
   let should_stop =
     match req.P.rq_deadline_ms with
     | None -> fun () -> false
     | Some ms -> fun () -> (Util.now () -. started) *. 1000. > float_of_int ms
   in
-  let respond result extra =
-    let after = Arde.Analysis_cache.stats () in
-    let delta = Arde.Analysis_cache.stats_delta ~before ~after in
-    let store_field =
-      match st.store with
-      | None -> []
-      | Some s ->
-          [
-            ( "store",
-              Store.stats_to_json
-                (Store.stats_delta ~before:store_before
-                   ~after:(Store.stats s)) );
-          ]
-    in
-    P.ok_response ~id:req.P.rq_id
-      ([
-         ("result", Arde.Driver.result_to_json result);
-         ("analysis_cache", Arde.Analysis_cache.stats_to_json delta);
-       ]
-      @ store_field @ extra)
-  in
+  let error code msg = Error (P.error_response ~id:req.P.rq_id code msg) in
+  let internal e = error P.Internal (Printexc.to_string e) in
   match req.P.rq_payload with
   | P.Rq_trace trace -> (
       (* The replay-farm path: detection without the machine.  The
@@ -161,21 +143,18 @@ let execute st ~digest (req : P.run_request) =
          header, via the supervisor) still keys the analysis cache, so
          repeated replays of the same program skip the static phase. *)
       match Arde.Recorded.of_string trace with
-      | Error msg ->
-          P.error_response ~id:req.P.rq_id P.Bad_request ("trace: " ^ msg)
+      | Error msg -> error P.Bad_request ("trace: " ^ msg)
       | Ok recorded -> (
           let ctx =
             Arde.Driver.ctx ~pool:st.pool ~should_stop ~program_digest:digest
               ()
           in
           match Arde.detect ~ctx (Arde.Input.Recorded_trace recorded) with
-          | result -> respond result []
-          | exception e ->
-              P.error_response ~id:req.P.rq_id P.Internal
-                (Printexc.to_string e)))
-  | P.Rq_program { rp_program; rp_mode; rp_options; rp_record } -> (
-      match lookup_program st ~digest rp_program with
-      | Error msg -> P.error_response ~id:req.P.rq_id P.Bad_request msg
+          | result -> Ok (result, [])
+          | exception e -> internal e))
+  | P.Rq_program ({ rp_mode; rp_options; rp_record; _ } as rp) -> (
+      match lookup_program ~digest rp with
+      | Error msg -> error P.Bad_request msg
       | Ok program -> (
           let ctx =
             Arde.Driver.ctx ~options:rp_options ~pool:st.pool ~should_stop
@@ -183,10 +162,8 @@ let execute st ~digest (req : P.run_request) =
           in
           if not rp_record then
             match Arde.detect ~ctx ~mode:rp_mode (Arde.Input.Program program) with
-            | result -> respond result []
-            | exception e ->
-                P.error_response ~id:req.P.rq_id P.Internal
-                  (Printexc.to_string e)
+            | result -> Ok (result, [])
+            | exception e -> internal e
           else
             (* Record-mode: the record/replay split live.  The cheap
                recording pass runs first and the trace lands in the
@@ -199,7 +176,7 @@ let execute st ~digest (req : P.run_request) =
               Arde.record ~ctx ~mode:rp_mode ~source:"serve"
                 (Arde.Input.Program program)
             with
-            | Error msg -> P.error_response ~id:req.P.rq_id P.Internal msg
+            | Error msg -> error P.Internal msg
             | Ok { Arde.Driver.rec_trace; _ } -> (
                 (* Best-effort, like the request journal. *)
                 (match
@@ -208,22 +185,18 @@ let execute st ~digest (req : P.run_request) =
                  with
                 | Ok () | Error _ -> ());
                 match Arde.Recorded.of_string rec_trace with
-                | Error msg ->
-                    P.error_response ~id:req.P.rq_id P.Internal
-                      ("recorded trace: " ^ msg)
+                | Error msg -> error P.Internal ("recorded trace: " ^ msg)
                 | Ok recorded -> (
                     match
                       Arde.detect ~ctx (Arde.Input.Recorded_trace recorded)
                     with
                     | result ->
-                        respond result
-                          [ ("trace", J.String (Arde.Base64.encode rec_trace)) ]
-                    | exception e ->
-                        P.error_response ~id:req.P.rq_id P.Internal
-                          (Printexc.to_string e)))
-            | exception e ->
-                P.error_response ~id:req.P.rq_id P.Internal
-                  (Printexc.to_string e)))
+                        Ok
+                          ( result,
+                            [ ("trace", J.String (Arde.Base64.encode rec_trace)) ]
+                          )
+                    | exception e -> internal e))
+            | exception e -> internal e))
 
 (* ------------------------------------------------------------------ *)
 (* The frame loop.  The supervisor hands us its socketpair end as our
@@ -282,11 +255,7 @@ let handle_job st ~job ~digest raw =
         (P.error_response ~id P.Internal "worker received a non-run request")
   | Ok (P.Run req) ->
       st.count <- st.count + 1;
-      let store_before =
-        match st.store with
-        | Some s -> Store.stats s
-        | None -> Store.zero_stats
-      in
+      let before = AC.stats () in
       let faults = CS.fires st.args.a_chaos ~count:st.count in
       (* Journal before executing: if we die mid-request the supervisor
          seals this journal into a replayable crash bundle.  Journaling
@@ -310,16 +279,25 @@ let handle_job st ~job ~digest raw =
         while true do
           Util.sleepf 3600.
         done;
-      let response = execute st ~digest req in
+      let outcome = execute st ~digest req in
       Spool.clear st.spool ~worker:st.args.a_index;
+      (* One snapshot pair per request: the response and the [done]
+         frame carry the same delta. *)
+      let delta = AC.stats_delta ~before ~after:(AC.stats ()) in
       let store =
-        match st.store with
-        | None -> None
-        | Some s ->
-            Some
-              (Store.stats_to_json
-                 (Store.stats_delta ~before:store_before
-                    ~after:(Store.stats s)))
+        if st.store then Some (AC.store_stats_to_json delta) else None
+      in
+      let response =
+        match outcome with
+        | Error response -> response
+        | Ok (result, extra) ->
+            P.ok_response ~id:req.P.rq_id
+              ([
+                 ("result", Arde.Driver.result_to_json result);
+                 ("analysis_cache", AC.stats_to_json delta);
+               ]
+              @ (match store with None -> [] | Some s -> [ ("store", s) ])
+              @ extra)
       in
       send_done_json ~faults ?store ~job ~spool_error response
 
@@ -357,15 +335,14 @@ let main args =
           None
   in
   (match store with
-  | Some s -> Arde.Analysis_cache.set_store (Some (Store.analysis_store s))
+  | Some s -> AC.set_store (Some (Store.analysis_store s))
   | None -> ());
   let st =
     {
       args;
       spool;
-      store;
+      store = store <> None;
       pool = Arde.Domain_pool.create ~jobs;
-      programs = Hashtbl.create 16;
       count = 0;
     }
   in

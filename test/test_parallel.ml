@@ -96,41 +96,61 @@ let test_jobs_determinism_under_chaos () =
 (* ------------------------------------------------------------------ *)
 (* Analysis cache                                                      *)
 
+module AC = Arde.Analysis_cache
+
+let prepare ?digest ?(style = Arde.Lower.Realistic) mode p =
+  AC.prepare ?digest ~style ~count_callees:true mode p
+
 let test_cache_matches_fresh_instrumentation () =
   let p = racy_case "adhoc_flag_w2/8" in
-  Arde.Analysis_cache.clear ();
+  AC.clear ();
+  let mode = Arde.Config.Helgrind_spin 7 in
   let fresh = Arde.Instrument.analyze ~count_callees:true ~k:7 p in
-  let first = Arde.Analysis_cache.instrumented ~count_callees:true ~k:7 p in
-  let cached = Arde.Analysis_cache.instrumented ~count_callees:true ~k:7 p in
-  let summary i = Format.asprintf "%a" Arde.Instrument.pp_summary i in
-  Alcotest.(check string) "cache miss = fresh analysis" (summary fresh)
+  let first = prepare mode p in
+  let cached = prepare mode p in
+  let summary (b : AC.prepared) =
+    match b.AC.p_instrument with
+    | Some i -> Format.asprintf "%a" Arde.Instrument.pp_summary i
+    | None -> Alcotest.fail "spin mode prepared no instrumentation"
+  in
+  let fresh_summary = Format.asprintf "%a" Arde.Instrument.pp_summary fresh in
+  Alcotest.(check string) "cache miss = fresh analysis" fresh_summary
     (summary first);
-  Alcotest.(check string) "cache hit = fresh analysis" (summary fresh)
+  Alcotest.(check string) "cache hit = fresh analysis" fresh_summary
     (summary cached);
   Alcotest.(check int) "same accepted spin loops"
     (List.length (Arde.Instrument.spins fresh))
-    (List.length (Arde.Instrument.spins cached))
+    (match cached.AC.p_instrument with
+    | Some i -> List.length (Arde.Instrument.spins i)
+    | None -> -1)
 
 let test_cache_matches_fresh_lowering () =
   let p = racy_case "adhoc_flag_w2/8" in
-  Arde.Analysis_cache.clear ();
+  AC.clear ();
   let style = Arde.Lower.Realistic in
+  let mode = Arde.Config.Nolib_spin 7 in
   let fresh = Arde.Lower.lower ~style p in
-  ignore (Arde.Analysis_cache.lowered ~style p);
-  let cached = Arde.Analysis_cache.lowered ~style p in
+  let fresh_inst = Arde.Instrument.analyze ~count_callees:true ~k:7 fresh in
+  ignore (prepare ~style mode p);
+  let cached = prepare ~style mode p in
   Alcotest.(check string) "cached lowering = fresh lowering"
     (Arde.Pretty.program_to_string fresh)
-    (Arde.Pretty.program_to_string cached)
+    (Arde.Pretty.program_to_string cached.AC.p_program);
+  Alcotest.(check string) "instrumentation of the lowered program"
+    (Format.asprintf "%a" Arde.Instrument.pp_summary fresh_inst)
+    (match cached.AC.p_instrument with
+    | Some i -> Format.asprintf "%a" Arde.Instrument.pp_summary i
+    | None -> "none");
+  Alcotest.(check bool) "the source is the program as given" true
+    (cached.AC.p_source == p)
 
 let test_cache_hits_on_repeated_runs () =
   let p = racy_case "adhoc_flag_w2/8" in
   let options = O.make ~seeds:[ 1; 2; 3; 4; 5 ] ~fuel:100_000 () in
-  Arde.Analysis_cache.clear ();
-  Arde.Analysis_cache.reset_stats ();
-  (* Nolib_spin lowers and instruments; the first run populates the
-     prepared bundle (recording inner lower/instrument misses), and the
-     repeat run is a single prepared hit that touches neither inner
-     table. *)
+  AC.clear ();
+  AC.reset_stats ();
+  (* Nolib_spin lowers and instruments; the first run computes the
+     prepared bundle (one miss), and every later run is a prepared hit. *)
   let run () =
     ignore
       (Arde.detect
@@ -138,35 +158,80 @@ let test_cache_hits_on_repeated_runs () =
          ~mode:(Arde.Config.Nolib_spin 7) (Arde.Input.Program p))
   in
   run ();
+  let s = AC.stats () in
+  Alcotest.(check int) "first run: one prepared miss" 1 s.AC.prepare_misses;
+  Alcotest.(check int) "first run: no hit" 0 s.AC.prepare_hits;
   run ();
-  let s = Arde.Analysis_cache.stats () in
-  Alcotest.(check bool) "prepared cache hit" true
-    (s.Arde.Analysis_cache.prepare_hits > 0);
-  Alcotest.(check int) "one prepared miss" 1 s.Arde.Analysis_cache.prepare_misses;
-  Alcotest.(check int) "inner misses recorded once" 1
-    s.Arde.Analysis_cache.instrument_misses;
-  (* The inner entries are warm too: a direct lookup (what `arde spin`
-     and the benches do) hits without re-analyzing. *)
-  ignore (Arde.Analysis_cache.lowered ~style:options.O.lower_style p);
-  let s = Arde.Analysis_cache.stats () in
-  Alcotest.(check bool) "lowering cache hit" true
-    (s.Arde.Analysis_cache.lower_hits > 0)
+  run ();
+  let s = AC.stats () in
+  Alcotest.(check int) "repeats hit" 2 s.AC.prepare_hits;
+  Alcotest.(check int) "still one prepared miss" 1 s.AC.prepare_misses
 
 let test_cache_disabled_recomputes () =
   let p = racy_case "racy_counter/2" in
-  Arde.Analysis_cache.clear ();
-  Arde.Analysis_cache.set_enabled false;
+  AC.clear ();
+  AC.set_enabled false;
   Fun.protect
-    ~finally:(fun () -> Arde.Analysis_cache.set_enabled true)
+    ~finally:(fun () -> AC.set_enabled true)
     (fun () ->
-      Arde.Analysis_cache.reset_stats ();
-      ignore (Arde.Analysis_cache.instrumented ~count_callees:true ~k:7 p);
-      ignore (Arde.Analysis_cache.instrumented ~count_callees:true ~k:7 p);
-      let s = Arde.Analysis_cache.stats () in
-      Alcotest.(check int) "no hits while disabled" 0
-        s.Arde.Analysis_cache.instrument_hits;
-      Alcotest.(check int) "both lookups miss" 2
-        s.Arde.Analysis_cache.instrument_misses)
+      AC.reset_stats ();
+      let mode = Arde.Config.Helgrind_spin 7 in
+      let a = prepare mode p in
+      let b = prepare mode p in
+      let s = AC.stats () in
+      Alcotest.(check int) "no hits while disabled" 0 s.AC.prepare_hits;
+      Alcotest.(check int) "both lookups miss" 2 s.AC.prepare_misses;
+      Alcotest.(check bool) "each prepare computed its own bundle" true
+        (a.AC.p_compiled != b.AC.p_compiled);
+      Alcotest.(check bool) "nothing is cached while disabled" true
+        (Option.is_none
+           (AC.find ~digest:(AC.digest_of_program p)
+              ~style:Arde.Lower.Realistic ~count_callees:true mode)))
+
+(* The memory tier is the only in-process bound on prepared bundles (and
+   so on the parsed programs a serve worker keeps): [max_prepared + 1]
+   distinct digests push the first one out, and asking for it again
+   recomputes an equal bundle. *)
+let test_cache_tier_bounded () =
+  let p = racy_case "racy_counter/2" in
+  let mode = Arde.Config.Helgrind_spin 7 in
+  AC.clear ();
+  AC.reset_stats ();
+  let digest i = Printf.sprintf "bounded-%d" i in
+  let first = prepare ~digest:(digest 0) mode p in
+  for i = 1 to AC.max_prepared do
+    ignore (prepare ~digest:(digest i) mode p)
+  done;
+  let find i =
+    AC.find ~digest:(digest i) ~style:Arde.Lower.Realistic ~count_callees:true
+      mode
+  in
+  Alcotest.(check bool) "oldest entry evicted" true (Option.is_none (find 0));
+  Alcotest.(check bool) "newest entry resident" true
+    (Option.is_some (find AC.max_prepared));
+  let s = AC.stats () in
+  Alcotest.(check int) "every distinct digest missed" (AC.max_prepared + 1)
+    s.AC.prepare_misses;
+  let again = prepare ~digest:(digest 0) mode p in
+  let s = AC.stats () in
+  Alcotest.(check int) "the evicted key misses again" (AC.max_prepared + 2)
+    s.AC.prepare_misses;
+  Alcotest.(check int) "no hit along the way" 0 s.AC.prepare_hits;
+  Alcotest.(check bool) "recomputed, not resurrected" true
+    (again.AC.p_compiled != first.AC.p_compiled);
+  Alcotest.(check string) "recomputed bundle equals the first"
+    (Arde.Pretty.program_to_string first.AC.p_program)
+    (Arde.Pretty.program_to_string again.AC.p_program);
+  Alcotest.(check bool) "same instrumentation and lock lists" true
+    (Option.map
+       (Format.asprintf "%a" Arde.Instrument.pp_summary)
+       first.AC.p_instrument
+     = Option.map
+         (Format.asprintf "%a" Arde.Instrument.pp_summary)
+         again.AC.p_instrument
+    && first.AC.p_cv_mutexes = again.AC.p_cv_mutexes
+    && first.AC.p_inferred_locks = again.AC.p_inferred_locks);
+  AC.clear ()
 
 (* ------------------------------------------------------------------ *)
 (* JSON wire forms                                                     *)
@@ -309,6 +374,8 @@ let suite =
       test_cache_hits_on_repeated_runs;
     Alcotest.test_case "disabled cache recomputes" `Quick
       test_cache_disabled_recomputes;
+    Alcotest.test_case "prepared tier is bounded" `Quick
+      test_cache_tier_bounded;
     Alcotest.test_case "JSON values round-trip" `Quick
       test_json_value_roundtrip;
     Alcotest.test_case "report JSON round-trips" `Quick

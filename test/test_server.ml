@@ -1355,39 +1355,61 @@ let store_path st ~digest =
     ~mode_id:(Arde.Config.mode_id store_mode)
     ~style:store_style ~count_callees:false
 
+(* The store's outcomes are counted by the analysis cache, so the store
+   tests drive it the way a worker does: registered as the second level
+   behind {!AC.prepare}, with the memory tier cleared between lookups. *)
+let with_registered store f =
+  AC.set_store (Some store);
+  Fun.protect
+    ~finally:(fun () ->
+      AC.set_store None;
+      AC.clear ())
+    f
+
+let stats_since before = AC.stats_delta ~before ~after:(AC.stats ())
+
+let cold_prepare ~digest =
+  AC.clear ();
+  store_prepared ~digest
+
 let test_store_roundtrip () =
   with_store_dir @@ fun dir ->
   let st = ok_exn "store create" (St.create ~dir ()) in
-  let hooks = St.analysis_store st in
-  let p = store_prepared ~digest:"rt" in
   let enc q =
     St.encode ~digest:"rt"
       ~mode_id:(Arde.Config.mode_id store_mode)
       ~style:store_style ~count_callees:false q
   in
+  with_registered (St.analysis_store st) @@ fun () ->
+  let before = AC.stats () in
+  let p = cold_prepare ~digest:"rt" in
+  checkb "computed, then written back" true
+    (Sys.file_exists (store_path st ~digest:"rt"));
+  let q = cold_prepare ~digest:"rt" in
   (* Deterministic bytes are what make concurrent worker write-backs
      benign (last writer wins with identical content). *)
   checks "encoding is deterministic" (enc p) (enc p);
-  checkb "miss before any save" true (hooks.AC.store_load (store_key ~digest:"rt") = None);
-  hooks.AC.store_save (store_key ~digest:"rt") p;
-  (match hooks.AC.store_load (store_key ~digest:"rt") with
-  | None -> Alcotest.fail "expected a disk hit after save"
-  | Some q ->
-      checks "program text survives the disk"
-        (Arde.Pretty.program_to_string p.AC.p_program)
-        (Arde.Pretty.program_to_string q.AC.p_program);
-      checkb "cv mutexes survive" true (p.AC.p_cv_mutexes = q.AC.p_cv_mutexes);
-      checkb "inferred locks survive" true
-        (p.AC.p_inferred_locks = q.AC.p_inferred_locks);
-      (* Round-trip stability: a reloaded bundle re-encodes to the same
-         bytes, which covers the spin-cache arrays without reaching into
-         machine internals. *)
-      checks "encode(decode(x)) = encode(x)" (enc p) (enc q));
-  let s = St.stats st in
-  check Alcotest.int "one save" 1 s.St.st_saves;
-  check Alcotest.int "one hit" 1 s.St.st_hits;
-  check Alcotest.int "one miss" 1 s.St.st_misses;
-  check Alcotest.int "nothing corrupt" 0 s.St.st_corrupt
+  checkb "the reload is a separate bundle" true
+    (p.AC.p_compiled != q.AC.p_compiled);
+  checks "program text survives the disk"
+    (Arde.Pretty.program_to_string p.AC.p_program)
+    (Arde.Pretty.program_to_string q.AC.p_program);
+  checkb "cv mutexes survive" true (p.AC.p_cv_mutexes = q.AC.p_cv_mutexes);
+  checkb "inferred locks survive" true
+    (p.AC.p_inferred_locks = q.AC.p_inferred_locks);
+  checks "a disk hit takes the caller's program as its source"
+    (Arde.Pretty.program_to_string (store_case ()).W.Racey.program)
+    (Arde.Pretty.program_to_string q.AC.p_source);
+  (* Round-trip stability: a reloaded bundle re-encodes to the same
+     bytes, which covers the spin-cache arrays without reaching into
+     machine internals. *)
+  checks "encode(decode(x)) = encode(x)" (enc p) (enc q);
+  let s = stats_since before in
+  check Alcotest.int "two memory misses" 2 s.AC.prepare_misses;
+  check Alcotest.int "one save" 1 s.AC.saves;
+  check Alcotest.int "one hit" 1 s.AC.disk_hits;
+  check Alcotest.int "one miss" 1 s.AC.disk_misses;
+  check Alcotest.int "nothing corrupt" 0 s.AC.corrupt_recovered
 
 let test_store_corruption_recovery () =
   with_store_dir @@ fun dir ->
@@ -1396,15 +1418,37 @@ let test_store_corruption_recovery () =
   let key = store_key ~digest:"corrupt" in
   let p = store_prepared ~digest:"corrupt" in
   let path = store_path st ~digest:"corrupt" in
+  let fresh =
+    St.encode ~digest:"corrupt"
+      ~mode_id:(Arde.Config.mode_id store_mode)
+      ~style:store_style ~count_callees:false p
+  in
+  (* Observe the write-back that follows a recovery: the mangled entry
+     must already be gone by then. *)
+  let deleted_before_save = ref false in
+  let observed =
+    {
+      hooks with
+      AC.store_save =
+        (fun k q ->
+          deleted_before_save := not (Sys.file_exists path);
+          hooks.AC.store_save k q);
+    }
+  in
+  with_registered observed @@ fun () ->
+  let before = AC.stats () in
   let mangle f =
-    hooks.AC.store_save key p;
+    ignore (hooks.AC.store_save key p);
     let bytes = ok_exn "read entry" (Arde_server.Util.read_file path) in
     let b = Bytes.of_string bytes in
     f b;
-    (match hooks.AC.store_load key with
-    | None -> ()
-    | Some _ -> Alcotest.fail "loaded a mangled entry");
-    checkb "mangled entry deleted" false (Sys.file_exists path)
+    let hits = (AC.stats ()).AC.disk_hits in
+    deleted_before_save := false;
+    ignore (cold_prepare ~digest:"corrupt");
+    check Alcotest.int "loaded a mangled entry" hits (AC.stats ()).AC.disk_hits;
+    checkb "mangled entry deleted" true !deleted_before_save;
+    checks "recomputed entry written back" fresh
+      (ok_exn "reread entry" (Arde_server.Util.read_file path))
   in
   (* Truncation. *)
   mangle (fun b ->
@@ -1424,24 +1468,29 @@ let test_store_corruption_recovery () =
       let oc = open_out_bin path in
       output_bytes oc b;
       close_out oc);
-  check Alcotest.int "every mangling recovered" 3 (St.stats st).St.st_corrupt;
+  check Alcotest.int "every mangling recovered" 3
+    (stats_since before).AC.corrupt_recovered;
   (* The slot is usable again afterwards. *)
-  hooks.AC.store_save key p;
-  checkb "save after recovery works" true (hooks.AC.store_load key <> None)
+  ignore (cold_prepare ~digest:"corrupt");
+  check Alcotest.int "load after recovery works" 1
+    (stats_since before).AC.disk_hits
 
 let test_store_write_failure_degrades () =
   with_store_dir @@ fun dir ->
   let st = ok_exn "store create" (St.create ~dir ()) in
-  let hooks = St.analysis_store st in
-  let p = store_prepared ~digest:"gone" in
+  with_registered (St.analysis_store st) @@ fun () ->
   (* The directory vanishing mid-flight is the portable stand-in for
      ENOSPC: every write failure takes the same degrade path. *)
   rm_rf dir;
-  hooks.AC.store_save (store_key ~digest:"gone") p;
-  check Alcotest.int "write failure counted" 1 (St.stats st).St.st_errors;
-  checkb "lookup is a plain miss" true
-    (hooks.AC.store_load (store_key ~digest:"gone") = None);
-  check Alcotest.int "no phantom save" 0 (St.stats st).St.st_saves
+  let before = AC.stats () in
+  ignore (cold_prepare ~digest:"gone");
+  check Alcotest.int "write failure counted" 1
+    (stats_since before).AC.store_errors;
+  ignore (cold_prepare ~digest:"gone");
+  let s = stats_since before in
+  check Alcotest.int "lookup is a plain miss" 2 s.AC.disk_misses;
+  check Alcotest.int "nothing read as corrupt" 0 s.AC.corrupt_recovered;
+  check Alcotest.int "no phantom save" 0 s.AC.saves
 
 let test_store_lru_bound () =
   with_store_dir @@ fun dir ->
@@ -1450,14 +1499,18 @@ let test_store_lru_bound () =
   let digests = [ "lru-a"; "lru-b"; "lru-c"; "lru-d" ] in
   List.iter
     (fun d ->
-      hooks.AC.store_save (store_key ~digest:d) (store_prepared ~digest:d);
+      ignore
+        (hooks.AC.store_save (store_key ~digest:d) (store_prepared ~digest:d));
       (* Distinct mtimes order the eviction scan deterministically. *)
       Unix.sleepf 0.02)
     digests;
   let _, bytes = St.usage st in
   let per_entry = bytes / List.length digests in
   (* Freshen the oldest entry: LRU must now prefer evicting lru-b. *)
-  checkb "touch hit" true (hooks.AC.store_load (store_key ~digest:"lru-a") <> None);
+  checkb "touch hit" true
+    (match hooks.AC.store_load (store_key ~digest:"lru-a") with
+    | AC.Loaded _ -> true
+    | AC.Absent | AC.Corrupt -> false);
   Unix.sleepf 0.02;
   let evicted = St.gc st ~max_bytes:(per_entry * 2) in
   check Alcotest.int "evicted down to bound" 2 evicted;
@@ -1487,8 +1540,11 @@ let test_store_single_flight () =
              (* A slow miss widens the window concurrent callers race
                 into. *)
              Unix.sleepf 0.02;
-             None);
-         AC.store_save = (fun _ _ -> Atomic.incr saves);
+             AC.Absent);
+         AC.store_save =
+           (fun _ _ ->
+             Atomic.incr saves;
+             AC.Saved { evicted = 0 });
        });
   Fun.protect ~finally:(fun () -> AC.set_store None) @@ fun () ->
   AC.clear ();
@@ -1527,8 +1583,8 @@ let test_store_cross_worker_write_back () =
       ~style:store_style ~count_callees:false p
   in
   checks "independent computes encode identically" (enc p1) (enc p2);
-  (St.analysis_store st1).AC.store_save (store_key ~digest:"xw") p1;
-  (St.analysis_store st2).AC.store_save (store_key ~digest:"xw") p2;
+  ignore ((St.analysis_store st1).AC.store_save (store_key ~digest:"xw") p1);
+  ignore ((St.analysis_store st2).AC.store_save (store_key ~digest:"xw") p2);
   let on_disk =
     ok_exn "read entry"
       (Arde_server.Util.read_file (store_path st1 ~digest:"xw"))
@@ -1572,6 +1628,61 @@ let test_store_restart_warm_identity () =
             (store_int "disk_hits");
           check (Alcotest.option Alcotest.int) "no save on the warm path"
             (Some 0) (store_int "saves")))
+
+(* A repeat on a one-worker daemon takes its program from the memory
+   tier without parsing.  Under a lowering mode the bundle holds both the
+   lowered program and the one submitted; the record request below must
+   be handed the submitted one, or its trace header (and so its bytes)
+   would differ from a local recording of the same program. *)
+let test_served_repeat_reuses_submitted_program () =
+  let case = List.hd (identity_cases ()) in
+  let mode = Arde.Config.Nolib_spin 7 in
+  let program = Arde.Pretty.program_to_string case.W.Racey.program in
+  let counters resp =
+    let at k =
+      Option.bind
+        (Option.bind (J.member "analysis_cache" resp) (J.member k))
+        J.to_int
+    in
+    (at "prepare_hits", at "prepare_misses")
+  in
+  let served ?record cl label =
+    let resp =
+      ok_exn label
+        (C.run cl ?record ~program ~mode ~options:identity_options ())
+    in
+    if not (P.response_ok resp) then
+      Alcotest.failf "%s refused: %s" label (error_code resp);
+    resp
+  in
+  let pair = Alcotest.(pair (option int) (option int)) in
+  with_server ~workers:1 ~jobs:1 (fun srv ->
+      with_client srv (fun cl ->
+          let first = served cl "first run" in
+          check pair "first run computes" (Some 0, Some 1) (counters first);
+          let repeat = served cl "repeat run" in
+          check pair "a repeat is one prepare hit, no miss" (Some 1, Some 0)
+            (counters repeat);
+          let recorded = served ~record:true cl "record repeat" in
+          let trace =
+            match Option.bind (J.member "trace" recorded) J.to_str with
+            | None -> Alcotest.fail "record response without trace"
+            | Some b64 -> ok_exn "trace base64" (Arde.Base64.decode b64)
+          in
+          let local =
+            ok_exn "local record"
+              (Arde.record
+                 ~ctx:(Arde.Driver.ctx ~options:identity_options ())
+                 ~mode ~source:"serve"
+                 (Arde.Input.Program case.W.Racey.program))
+          in
+          checks "served trace = local recording" local.Arde.Driver.rec_trace
+            trace;
+          (* Both passes of a record request — the recording and the
+             replay that yields its result — are keyed by the request
+             digest, so both hit the run's bundle. *)
+          check pair "recording and its replay hit the run's bundle"
+            (Some 2, Some 0) (counters recorded)))
 
 (* ------------------------------------------------------------------ *)
 (* TCP listener                                                        *)
@@ -1742,4 +1853,6 @@ let suite =
       test_store_cross_worker_write_back;
     Alcotest.test_case "restarted daemon serves byte-identical results warm"
       `Quick test_store_restart_warm_identity;
+    Alcotest.test_case "served repeats reuse the submitted program" `Quick
+      test_served_repeat_reuses_submitted_program;
   ]
