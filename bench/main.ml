@@ -10,10 +10,11 @@
    F2  runtime overhead
 
    plus Bechamel micro-benchmarks of the pipeline stages.  Compare the
-   output against EXPERIMENTS.md. *)
+   output against EXPERIMENTS.md.  With a subcommand it produces one
+   measured artifact instead; see the subcommand table at the end. *)
 
-let section title =
-  Printf.printf "\n==== %s ====\n%!" title
+let heading title = Printf.sprintf "\n==== %s ====\n" title
+let section title = print_string (heading title); flush stdout
 
 let tables () =
   section "Table 1: data-race-test suite (120 cases)";
@@ -124,31 +125,51 @@ let bechamel_suite () =
         tbl)
     raw
 
-(* ---- the parallel-stage / analysis-cache benchmark ----
+(* ---- the measured subcommands ----
 
-   `bench parallel [-o PATH]` times the domain-pool per-seed stage at
-   several pool widths and the analysis cache on/off, and writes the
-   measurements to BENCH_parallel.json (the wire form CI archives).
-   Speedups are wall-clock, so they reflect the cores of the machine
-   running the benchmark — [host_cores] is recorded alongside. *)
+   Each `bench SUBCOMMAND [-o PATH]` produces one [outcome]: the text it
+   prints, the artifact it writes (to PATH, default the table's path)
+   and its CI gate failures; {!emit} prints, writes and exits 1 on any
+   failure.  All timing goes through [Arde_harness.Timing]: the
+   monotonic clock, medians over repetitions after a discarded warm-up. *)
 
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+module J = Arde.Json
+module Timing = Arde_harness.Timing
 
-let parallel_bench ~out () =
-  let module J = Arde.Json in
+type outcome = { text : string; artifact : string; failures : string list }
+
+let json ?(text = "") ?(failures = []) j =
+  { text; artifact = J.to_string ~minify:false j ^ "\n"; failures }
+
+let emit ~name ~out r =
+  print_string r.text;
+  let oc = open_out out in
+  output_string oc r.artifact;
+  close_out oc;
+  Printf.printf "wrote %s\n%!" out;
+  List.iter (Printf.eprintf "bench %s: FAIL: %s\n" name) r.failures;
+  if r.failures <> [] then exit 1
+
+(* `bench parallel` times the domain-pool per-seed stage at several pool
+   widths and the analysis cache on/off.  Speedups are elapsed-time
+   ratios, so they reflect the cores of the machine running the
+   benchmark — [host_cores] is recorded alongside.  No gate. *)
+let parallel_bench () =
+  (* seconds of one run after a discarded warm-up *)
+  let time f =
+    let t, _, _ = Timing.timed ~repeats:1 f in
+    t
+  in
   let mode = Arde.Config.Nolib_spin 7 in
   (* every 15th catalog case: a cross-category sample with enough work
-     per run for wall-clock timing to mean something *)
+     per run for elapsed-time measurement to mean something *)
   let sample =
     List.filteri (fun i _ -> i mod 15 = 0) (Arde_workloads.Racey.all ())
   in
   let progs = List.map (fun c -> c.Arde_workloads.Racey.program) sample in
   let seeds = List.init 16 (fun i -> i + 1) in
   let opts jobs = Arde.Options.make ~seeds ~fuel:400_000 ~jobs () in
-  let run_all jobs =
+  let run_all jobs () =
     List.iter
       (fun p ->
         ignore
@@ -157,17 +178,16 @@ let parallel_bench ~out () =
              ~mode (Arde.Input.Program p)))
       progs
   in
-  (* per-stage wall times, measured fresh on one representative *)
+  (* per-stage times on one representative *)
   let rep = List.hd progs in
   Arde.Analysis_cache.clear ();
-  let lowered, t_lower =
-    wall (fun () -> Arde.Lower.lower ~style:Arde.Lower.Realistic rep)
+  let t_lower, _, lowered =
+    Timing.timed ~repeats:1 (fun () ->
+        Arde.Lower.lower ~style:Arde.Lower.Realistic rep)
   in
-  let _, t_instrument =
-    wall (fun () -> Arde.Instrument.analyze ~k:7 lowered)
-  in
+  let t_instrument = time (fun () -> Arde.Instrument.analyze ~k:7 lowered) in
   (* warm the cache so the sweep times the per-seed stage, not prepare *)
-  run_all 1;
+  run_all 1 ();
   (* widths beyond the physical cores would only measure oversubscription
      noise — skip them, but record what was skipped so a run on a small
      host is distinguishable from a run that covered everything *)
@@ -177,13 +197,13 @@ let parallel_bench ~out () =
       (fun j -> j <= host_cores)
       (List.sort_uniq compare [ 1; 2; 4; max 1 Arde.Options.default_jobs ])
   in
-  let sweep = List.map (fun j -> (j, snd (wall (fun () -> run_all j)))) widths in
+  let sweep = List.map (fun j -> (j, time (run_all j))) widths in
   let t_seq = List.assoc 1 sweep in
   (* the cache's contribution: same sequential sweep, cold every run *)
   Arde.Analysis_cache.set_enabled false;
-  let (), t_nocache = wall (fun () -> run_all 1) in
+  let t_nocache = time (run_all 1) in
   Arde.Analysis_cache.set_enabled true;
-  let (), t_cached = wall (fun () -> run_all 1) in
+  let t_cached = time (run_all 1) in
   (* acceptance probe: a 5-seed run against the warm cache records hits *)
   Arde.Analysis_cache.reset_stats ();
   ignore
@@ -194,175 +214,122 @@ let parallel_bench ~out () =
             ())
        ~mode (Arde.Input.Program rep));
   let cs = Arde.Analysis_cache.stats () in
-  let json =
-    J.Obj
-      [
-        ("host_cores", J.Int host_cores);
-        ("skipped_widths", J.List (List.map (fun j -> J.Int j) skipped_widths));
-        ("default_jobs", J.Int Arde.Options.default_jobs);
-        ("mode", J.String (Arde.Config.mode_name mode));
-        ("workloads", J.Int (List.length progs));
-        ("seeds_per_run", J.Int (List.length seeds));
-        ( "stages",
-          J.Obj
-            [
-              ("lower_s", J.Float t_lower);
-              ("instrument_s", J.Float t_instrument);
-              ("per_seed_stage_s", J.Float t_seq);
-            ] );
-        ( "jobs_sweep",
-          J.List
-            (List.map
-               (fun (j, t) ->
-                 J.Obj
-                   [
-                     ("jobs", J.Int j);
-                     ("wall_s", J.Float t);
-                     ("speedup", J.Float (t_seq /. t));
-                   ])
-               sweep) );
-        ( "cache",
-          J.Obj
-            [
-              ("disabled_wall_s", J.Float t_nocache);
-              ("enabled_wall_s", J.Float t_cached);
-              ("speedup", J.Float (t_nocache /. t_cached));
-              ("five_seed_run", Arde.Analysis_cache.stats_to_json cs);
-            ] );
-      ]
+  json
+    (J.Obj
+       [
+         ("host_cores", J.Int host_cores);
+         ("skipped_widths", J.List (List.map (fun j -> J.Int j) skipped_widths));
+         ("default_jobs", J.Int Arde.Options.default_jobs);
+         ("mode", J.String (Arde.Config.mode_name mode));
+         ("workloads", J.Int (List.length progs));
+         ("seeds_per_run", J.Int (List.length seeds));
+         ( "stages",
+           J.Obj
+             [
+               ("lower_s", J.Float t_lower);
+               ("instrument_s", J.Float t_instrument);
+               ("per_seed_stage_s", J.Float t_seq);
+             ] );
+         ( "jobs_sweep",
+           J.List
+             (List.map
+                (fun (j, t) ->
+                  J.Obj
+                    [
+                      ("jobs", J.Int j);
+                      ("wall_s", J.Float t);
+                      ("speedup", J.Float (t_seq /. t));
+                    ])
+                sweep) );
+         ( "cache",
+           J.Obj
+             [
+               ("disabled_wall_s", J.Float t_nocache);
+               ("enabled_wall_s", J.Float t_cached);
+               ("speedup", J.Float (t_nocache /. t_cached));
+               ("five_seed_run", Arde.Analysis_cache.stats_to_json cs);
+             ] );
+       ])
+
+(* `bench engine` replays recorded traces through the optimized epoch
+   engine and the frozen reference engine.  Gate: the optimized engine
+   at least as fast on streamcluster under nolib+spin(7) and on every
+   synthetic row, >= 2x on join-512, reports equal everywhere. *)
+let engine_bench () =
+  let module B = Arde_harness.Engine_bench in
+  let rows = B.run ~repeats:5 () in
+  json
+    ~text:
+      (heading "Engine differential: optimized vs reference, per trace"
+      ^ B.render rows)
+    ~failures:(B.gate rows) (B.to_json rows)
+
+(* `bench machine` runs each workload × mode end-to-end on the compiled
+   machine and on the frozen reference machine.  Gate: the optimized
+   machine at least as fast on streamcluster under nolib+spin(7), every
+   trace spot-check equal, the straight-line path allocation-free. *)
+let machine_bench () =
+  let module B = Arde_harness.Machine_bench in
+  let results = B.run ~repeats:5 () in
+  json
+    ~text:
+      (heading "Machine differential: compiled vs reference, end-to-end"
+      ^ B.render results)
+    ~failures:(B.gate results) (B.to_json results)
+
+(* `bench replay` prices the recording sink against the bare machine's
+   quiet fast path, and replayed detection against the live run it
+   reproduces.  Gate: every replayed result identical to its live run,
+   recording overhead <= 1.1x quiet on the headline configuration
+   (Replay_bench.headline: swaptions under nolib+spin(7)). *)
+let replay_bench () =
+  let module B = Arde_harness.Replay_bench in
+  let rows = B.run ~repeats:5 () in
+  json
+    ~text:
+      (heading "Record/replay: sink overhead and replay throughput"
+      ^ B.render rows)
+    ~failures:(B.gate rows) (B.to_json rows)
+
+(* `bench predict` differences a Predict analysis (two recorded
+   executions plus the sync-preserving closure) against the 16-seed
+   sweep on the racy and race-free catalog under the Table-1 modes, and
+   prices predict-from-one-trace against the live sweep on swaptions.
+   Gate: no sweep-found race missed, no predicted race vouched for by
+   neither the sweep nor ground truth, predict-from-trace <= 0.25x the
+   sweep's time, executions-per-race reduction >= 4x. *)
+let predict_bench () =
+  let module B = Arde_harness.Predict_bench in
+  let t = B.run () in
+  json
+    ~text:
+      (heading "Prediction: coverage, soundness and cost vs the 16-seed sweep"
+      ^ B.render t)
+    ~failures:(B.gate t) (B.to_json t)
+
+(* `bench fixtures [--ref]` runs the full golden-trace enumeration
+   (Trace_fixtures.groups) through the current machine (the frozen
+   reference with --ref) and writes one summary line per run.  The
+   committed file is the machine's correctness baseline: test_machine_diff
+   replays the same enumeration and asserts every trace hash, length,
+   step count and outcome is identical.  No gate. *)
+let fixtures ~reference () =
+  let module F = Arde_harness.Trace_fixtures in
+  let t0 = Timing.now () in
+  let rows =
+    F.run_all (if reference then F.reference_machine else F.current_machine)
   in
-  let oc = open_out out in
-  output_string oc (J.to_string ~minify:false json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" out
-
-(* ---- the engine differential benchmark ----
-
-   `bench engine [-o PATH]` replays recorded traces through the optimized
-   epoch engine and the frozen reference engine, writes the rows to
-   BENCH_engine.json, and exits non-zero when the CI gate fails (the
-   optimized engine slower than the reference on streamcluster under
-   nolib+spin(7), or any report spot-check disagreeing). *)
-
-let engine_bench ~out () =
-  let module J = Arde.Json in
-  let rows = Arde_harness.Engine_bench.run ~repeats:5 () in
-  section "Engine differential: optimized vs reference, per trace";
-  print_string (Arde_harness.Engine_bench.render rows);
-  let oc = open_out out in
-  output_string oc (J.to_string ~minify:false (Arde_harness.Engine_bench.to_json rows));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" out;
-  match Arde_harness.Engine_bench.gate rows with
-  | [] -> ()
-  | failures ->
-      List.iter (Printf.eprintf "bench engine: FAIL: %s\n") failures;
-      exit 1
-
-(* ---- the machine differential benchmark ----
-
-   `bench machine [-o PATH]` runs each workload × mode end-to-end on the
-   compiled machine and on the frozen reference machine, writes the
-   measurements (quiet steps/s, words/step, events/s, plus the
-   straight-line zero-allocation probe) to BENCH_machine.json, and exits
-   non-zero when the CI gate fails (the optimized machine slower than the
-   reference on streamcluster under nolib+spin(7), any trace spot-check
-   disagreeing, or the straight-line path allocating). *)
-
-let machine_bench ~out () =
-  let module J = Arde.Json in
-  let results = Arde_harness.Machine_bench.run ~repeats:5 () in
-  section "Machine differential: compiled vs reference, end-to-end";
-  print_string (Arde_harness.Machine_bench.render results);
-  let oc = open_out out in
-  output_string oc
-    (J.to_string ~minify:false (Arde_harness.Machine_bench.to_json results));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" out;
-  match Arde_harness.Machine_bench.gate results with
-  | [] -> ()
-  | failures ->
-      List.iter (Printf.eprintf "bench machine: FAIL: %s\n") failures;
-      exit 1
-
-(* ---- the record/replay benchmark ----
-
-   `bench replay [-o PATH]` prices the recording sink against the bare
-   machine's quiet fast path, and replayed detection against the live
-   run it reproduces, writing both halves (plus trace size per event and
-   the byte-identity verdict) to BENCH_replay.json.  Exits non-zero when
-   the CI gate fails: any replayed result diverging from its live run,
-   or recording overhead above 1.1x quiet on streamcluster under
-   nolib+spin(7). *)
-
-let replay_bench ~out () =
-  let module J = Arde.Json in
-  let rows = Arde_harness.Replay_bench.run ~repeats:5 () in
-  section "Record/replay: sink overhead and replay throughput";
-  print_string (Arde_harness.Replay_bench.render rows);
-  let oc = open_out out in
-  output_string oc
-    (J.to_string ~minify:false (Arde_harness.Replay_bench.to_json rows));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" out;
-  match Arde_harness.Replay_bench.gate rows with
-  | [] -> ()
-  | failures ->
-      List.iter (Printf.eprintf "bench replay: FAIL: %s\n") failures;
-      exit 1
-
-(* ---- the prediction benchmark ----
-
-   `bench predict [-o PATH]` differences a Predict analysis (two
-   recorded executions plus the sync-preserving closure) against the
-   16-seed sweep on the racy and race-free catalog under the Table-1
-   modes, and prices predict-from-one-trace against the live sweep on
-   swaptions, writing rows, timing and the executions-per-race summary
-   to BENCH_predict.json.  Exits non-zero when the CI gate fails: a
-   sweep-found race the predict run misses, a predicted race neither
-   the sweep nor ground truth vouches for, predict-from-trace above
-   0.25x the sweep wall clock, or an executions-per-race reduction
-   below 4x. *)
-
-let predict_bench ~out () =
-  let module J = Arde.Json in
-  let t = Arde_harness.Predict_bench.run () in
-  section "Prediction: coverage, soundness and cost vs the 16-seed sweep";
-  print_string (Arde_harness.Predict_bench.render t);
-  let oc = open_out out in
-  output_string oc
-    (J.to_string ~minify:false (Arde_harness.Predict_bench.to_json t));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" out;
-  match Arde_harness.Predict_bench.gate t with
-  | [] -> ()
-  | failures ->
-      List.iter (Printf.eprintf "bench predict: FAIL: %s\n") failures;
-      exit 1
-
-(* ---- golden-trace fixture generator ----
-
-   `bench fixtures [-o PATH]` runs the full fixture enumeration
-   (Trace_fixtures.groups) through the current machine and writes one
-   summary line per run.  The committed file is the machine's correctness
-   baseline: test_machine_diff replays the same enumeration and asserts
-   every trace hash, length, step count and outcome is identical. *)
-
-let fixtures ~impl ~out () =
-  let t0 = Unix.gettimeofday () in
-  let rows = Arde_harness.Trace_fixtures.run_all impl in
-  Arde_harness.Trace_fixtures.write_file out rows;
-  Printf.printf "wrote %s (%d fixtures, %.1fs)\n" out (List.length rows)
-    (Unix.gettimeofday () -. t0)
+  {
+    text =
+      Printf.sprintf "%d fixtures, %.1fs\n" (List.length rows)
+        (Timing.now () -. t0);
+    artifact = F.to_string rows;
+    failures = [];
+  }
 
 (* ---- the serve load benchmark ----
 
-   `bench serve [-o PATH]` starts an in-process daemon, drives it with
+   `bench serve` starts in-process daemons and drives them with
    concurrent clients over a mixed repeated/unique workload (analysis-
    heavy PARSEC programs under the lowering mode, plus unit-suite
    smalls), and compares served throughput against one-shot `arde run
@@ -372,17 +339,90 @@ let fixtures ~impl ~out () =
    daemon's resident caches reduce a repeat submission to per-seed
    execution.  Round 0 is the cold round (every program unseen); rounds
    1+ are the warm phase, and the headline number is warm-phase served
-   throughput over one-shot throughput.  Writes BENCH_serve.json; exits
-   non-zero when the CI gate fails (any well-formed request refused or
-   dropped, or warm-cache speedup below 1.0x). *)
+   throughput over one-shot throughput.  Two more phases follow: the
+   bundle store across daemon restarts, and crash-only serving under a
+   chaos plan.  Gate: no well-formed request refused or dropped,
+   warm-cache speedup >= 1.0x, the chaos phase passing, the restart
+   phase passing. *)
 
-let serve_bench ~out () =
-  let module J = Arde.Json in
+(* One request of a restart round: its name, latency and result JSON. *)
+type served = string * float * string
+
+(* One store-on/store-off repeat of the restart phase. *)
+type restart_repeat = {
+  on_cold : served list;
+  on_warm : served list;
+  on_restart : served list;
+  off_cold : served list;
+  off_warm : served list;
+  off_restart : served list;
+  store_stats : J.t;
+}
+
+let rec rm_rf p =
+  match Unix.lstat p with
+  | exception Unix.Unix_error _ -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter
+        (fun e -> rm_rf (Filename.concat p e))
+        (try Sys.readdir p with Sys_error _ -> [||]);
+      (try Unix.rmdir p with Unix.Unix_error _ -> ())
+  | _ -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
+
+let serve_bench () =
   let module P = Arde_server.Protocol in
   let module S = Arde_server.Server in
   let module C = Arde_server.Client in
   let module W = Arde_workloads in
+  let die fmt =
+    Printf.ksprintf
+      (fun m ->
+        prerr_endline ("bench serve: " ^ m);
+        exit 1)
+      fmt
+  in
+  let error_text resp =
+    match P.response_error resp with
+    | Some (c, m) -> c ^ ": " ^ m
+    | None -> "refused"
+  in
+  (* A daemon for the duration of [f], drained and joined afterwards. *)
+  let with_daemon label cfg f =
+    match S.create cfg with
+    | Error e -> die "%s%s" label e
+    | Ok t ->
+        let runner = Domain.spawn (fun () -> S.run t) in
+        Fun.protect
+          ~finally:(fun () ->
+            S.initiate_drain t;
+            Domain.join runner)
+          f
+  in
+  (* The daemon's supervision stats ([J.Null] when unreachable): with
+     detection in worker processes, the cache story lives here. *)
+  let supervision socket =
+    match C.connect ~endpoint:(C.Unix_socket socket) () with
+    | Error _ -> J.Null
+    | Ok cl ->
+        Fun.protect
+          ~finally:(fun () -> C.close cl)
+          (fun () ->
+            match C.stats cl with
+            | Ok resp ->
+                Option.value ~default:J.Null
+                  (Option.bind (J.member "stats" resp) (J.member "supervision"))
+            | Error _ -> J.Null)
+  in
   let clients = 4 and rounds = 4 in
+  (* [items] dealt round-robin to [clients] concurrent domains; [f cnum
+     mine] serves client [cnum]'s share, each item with its index. *)
+  let fan_out items f =
+    let indexed = List.mapi (fun i x -> (i, x)) items in
+    List.init clients (fun cnum ->
+        Domain.spawn (fun () ->
+            f cnum (List.filter (fun (i, _) -> i mod clients = cnum) indexed)))
+    |> List.concat_map Domain.join
+  in
   let seeds = 2 and fuel = 20_000 in
   let options = Arde.Options.make ~seeds:(List.init seeds (fun i -> i + 1)) ~fuel () in
   let parsec_reqs =
@@ -396,15 +436,11 @@ let serve_bench ~out () =
       [ "x264"; "dedup"; "facesim"; "ferret"; "vips"; "raytrace" ]
   in
   let small_reqs =
-    let rec take n = function
-      | x :: tl when n > 0 -> x :: take (n - 1) tl
-      | _ -> []
-    in
     List.map
       (fun c ->
         (c.W.Racey.name, Arde.Pretty.program_to_string c.W.Racey.program,
          Arde.Config.Helgrind_spin 7))
-      (take 4 (W.Racey.all ()))
+      (List.filteri (fun i _ -> i < 4) (W.Racey.all ()))
   in
   let one_round = parsec_reqs @ small_reqs in
   let requests =
@@ -422,68 +458,33 @@ let serve_bench ~out () =
   in
   (* One worker per client: each worker holds one request in flight, so
      a narrower fleet would measure queue wait, not serving speed. *)
-  let srv =
-    match
-      S.create
-        (S.config ~workers:clients ~max_pending:256 ~socket_path:path ())
-    with
-    | Ok t -> t
-    | Error e ->
-        prerr_endline ("bench serve: " ^ e);
-        exit 1
-  in
-  let runner = Domain.spawn (fun () -> S.run srv) in
-  let indexed = List.mapi (fun i r -> (i, r)) requests in
-  let t0 = Unix.gettimeofday () in
-  let domains =
-    List.init clients (fun cnum ->
-        Domain.spawn (fun () ->
-            match C.connect ~endpoint:(C.Unix_socket path) () with
-            | Error e -> [ `Transport ("connect: " ^ e) ]
-            | Ok cl ->
-                Fun.protect
-                  ~finally:(fun () -> C.close cl)
-                  (fun () ->
-                    List.filter_map
-                      (fun (i, (round, (name, text, mode))) ->
-                        if i mod clients <> cnum then None
-                        else
-                          let s = Unix.gettimeofday () in
+  let results, served_wall, supervision_stats =
+    with_daemon ""
+      (S.config ~workers:clients ~max_pending:256 ~socket_path:path ())
+      (fun () ->
+        let t0 = Timing.now () in
+        let results =
+          fan_out requests (fun _ mine ->
+              match C.connect ~endpoint:(C.Unix_socket path) () with
+              | Error e -> [ `Transport ("connect: " ^ e) ]
+              | Ok cl ->
+                  Fun.protect
+                    ~finally:(fun () -> C.close cl)
+                    (fun () ->
+                      List.map
+                        (fun (_, (round, (name, text, mode))) ->
+                          let s = Timing.now () in
                           let r = C.run cl ~program:text ~mode ~options () in
-                          let dt = Unix.gettimeofday () -. s in
-                          Some
-                            (match r with
-                            | Ok resp when P.response_ok resp -> `Ok (round, dt)
-                            | Ok resp ->
-                                `Refused
-                                  (Printf.sprintf "%s: %s" name
-                                     (match P.response_error resp with
-                                     | Some (c, m) -> c ^ ": " ^ m
-                                     | None -> "refused"))
-                            | Error e -> `Transport (name ^ ": " ^ e)))
-                      indexed)))
+                          let dt = Timing.now () -. s in
+                          match r with
+                          | Ok resp when P.response_ok resp -> `Ok (round, dt)
+                          | Ok resp -> `Refused (name ^ ": " ^ error_text resp)
+                          | Error e -> `Transport (name ^ ": " ^ e))
+                        mine))
+        in
+        let wall = Timing.now () -. t0 in
+        (results, wall, supervision path))
   in
-  let results = List.concat_map Domain.join domains in
-  let served_wall = Unix.gettimeofday () -. t0 in
-  (* Detection now happens in worker processes: the daemon-side cache
-     story lives in the supervision stats (and each worker's response
-     carries its own analysis-cache delta). *)
-  let supervision =
-    match C.connect ~endpoint:(C.Unix_socket path) () with
-    | Error _ -> J.Null
-    | Ok cl ->
-        Fun.protect
-          ~finally:(fun () -> C.close cl)
-          (fun () ->
-            match C.stats cl with
-            | Ok resp ->
-                Option.value ~default:J.Null
-                  (Option.bind (J.member "stats" resp)
-                     (J.member "supervision"))
-            | Error _ -> J.Null)
-  in
-  S.initiate_drain srv;
-  Domain.join runner;
 
   (* ---- restart phase: the persistent bundle store across daemons ----
      Three sequential rounds of the same mix — cold (fresh daemon, empty
@@ -492,38 +493,13 @@ let serve_bench ~out () =
      With the store on, the restarted daemon reloads prepared bundles
      from disk instead of recomputing, so its first round should run at
      near-warm speed; with it off, a restart is as expensive as a cold
-     start.  Gates: every round's results byte-identical, restart-warm
-     >= 0.8x warm (store on), and store-on restart-warm >= 2x
-     restart-cold (the store-off restarted daemon's first pass). *)
-  let rec rm_rf p =
-    match Unix.lstat p with
-    | exception Unix.Unix_error _ -> ()
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Array.iter
-          (fun e -> rm_rf (Filename.concat p e))
-          (try Sys.readdir p with Sys_error _ -> [||]);
-        (try Unix.rmdir p with Unix.Unix_error _ -> ())
-    | _ -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-  in
-  let restart_store_dir = path ^ ".store" in
+     start.  The store-on/store-off pair runs [restart_repeats] times,
+     each with a fresh store directory and fresh daemons, and the gated
+     ratios are medians over the repeats.  Gates: every round's results
+     byte-identical, restart-warm >= 0.8x warm (store on), and store-on
+     restart-warm >= 2x restart-cold (the store-off restarted daemon's
+     first pass). *)
   let restart_path = path ^ ".restart" in
-  let with_restart_daemon ?store_dir f =
-    match
-      S.create
-        (S.config ~workers:1 ~max_pending:256 ?store_dir
-           ~socket_path:restart_path ())
-    with
-    | Error e ->
-        prerr_endline ("bench serve: restart: " ^ e);
-        exit 1
-    | Ok t ->
-        let r = Domain.spawn (fun () -> S.run t) in
-        Fun.protect
-          ~finally:(fun () ->
-            S.initiate_drain t;
-            Domain.join r)
-          (fun () -> f ())
-  in
   (* The restart rounds use detection-weight requests (8 seeds, 60k
      fuel) and walk the mix [restart_passes] times per round: a round is
      serving traffic, and the disk load in the restarted daemon is paid
@@ -536,78 +512,65 @@ let serve_bench ~out () =
   let restart_options =
     Arde.Options.make ~seeds:(List.init 8 (fun i -> i + 1)) ~fuel:60_000 ()
   in
-  let restart_passes = 4 in
-  let restart_round label =
+  let restart_passes = 4 and restart_repeats = 3 in
+  let restart_round label : served list =
     match C.connect ~endpoint:(C.Unix_socket restart_path) () with
-    | Error e ->
-        Printf.eprintf "bench serve: restart %s: %s\n" label e;
-        exit 1
+    | Error e -> die "restart %s: %s" label e
     | Ok cl ->
         Fun.protect
           ~finally:(fun () -> C.close cl)
           (fun () ->
             List.concat_map (fun _ -> one_round)
               (List.init restart_passes Fun.id)
-            |> List.map
-              (fun (name, text, mode) ->
-                let s = Unix.gettimeofday () in
-                match C.run cl ~program:text ~mode ~options:restart_options () with
-                | Ok resp when P.response_ok resp ->
-                    let dt = Unix.gettimeofday () -. s in
-                    ( name,
-                      dt,
-                      J.to_string
-                        (Option.value ~default:J.Null (J.member "result" resp))
-                    )
-                | Ok resp ->
-                    Printf.eprintf "bench serve: restart %s: %s refused: %s\n"
-                      label name
-                      (match P.response_error resp with
-                      | Some (c, m) -> c ^ ": " ^ m
-                      | None -> "refused");
-                    exit 1
-                | Error e ->
-                    Printf.eprintf "bench serve: restart %s: %s: %s\n" label
-                      name e;
-                    exit 1))
-    in
-  let restart_store_stats = ref J.Null in
-  let fetch_store_stats () =
-    match C.connect ~endpoint:(C.Unix_socket restart_path) () with
-    | Error _ -> J.Null
-    | Ok cl ->
-        Fun.protect
-          ~finally:(fun () -> C.close cl)
-          (fun () ->
-            match C.stats cl with
-            | Ok resp ->
-                Option.value ~default:J.Null
-                  (Option.bind (J.member "stats" resp) (fun s ->
-                       Option.bind (J.member "supervision" s)
-                         (J.member "store")))
-            | Error _ -> J.Null)
+            |> List.map (fun (name, text, mode) ->
+                   let s = Timing.now () in
+                   match
+                     C.run cl ~program:text ~mode ~options:restart_options ()
+                   with
+                   | Ok resp when P.response_ok resp ->
+                       let dt = Timing.now () -. s in
+                       ( name,
+                         dt,
+                         J.to_string
+                           (Option.value ~default:J.Null (J.member "result" resp))
+                       )
+                   | Ok resp ->
+                       die "restart %s: %s refused: %s" label name
+                         (error_text resp)
+                   | Error e -> die "restart %s: %s: %s" label name e))
   in
-  let restart_phase ~store =
-    let store_dir = if store then Some restart_store_dir else None in
-    if store then rm_rf restart_store_dir;
+  (* cold and warm rounds on one daemon, restart-warm on a second one;
+     the store stats are the restarted daemon's *)
+  let restart_phase ?store_dir () =
+    let cfg =
+      S.config ~workers:1 ~max_pending:256 ?store_dir
+        ~socket_path:restart_path ()
+    in
     let cold, warm =
-      with_restart_daemon ?store_dir (fun () ->
+      with_daemon "restart: " cfg (fun () ->
           let cold = restart_round "cold" in
           let warm = restart_round "warm" in
           (cold, warm))
     in
-    let restart =
-      with_restart_daemon ?store_dir (fun () ->
+    let restart, sup =
+      with_daemon "restart: " cfg (fun () ->
           let r = restart_round "restart-warm" in
-          if store then restart_store_stats := fetch_store_stats ();
-          r)
+          (r, supervision restart_path))
     in
-    (cold, warm, restart)
+    (cold, warm, restart, Option.value ~default:J.Null (J.member "store" sup))
   in
-  let on_cold, on_warm, on_restart = restart_phase ~store:true in
-  let off_cold, off_warm, off_restart = restart_phase ~store:false in
-  rm_rf restart_store_dir;
-  let round_rps round =
+  let restart_repeat i =
+    let store_dir = Printf.sprintf "%s.store%d" path i in
+    rm_rf store_dir;
+    let on_cold, on_warm, on_restart, store_stats =
+      restart_phase ~store_dir ()
+    in
+    rm_rf store_dir;
+    let off_cold, off_warm, off_restart, _ = restart_phase () in
+    { on_cold; on_warm; on_restart; off_cold; off_warm; off_restart; store_stats }
+  in
+  let repeats = List.init restart_repeats restart_repeat in
+  let round_rps (round : served list) =
     let wall = List.fold_left (fun a (_, dt, _) -> a +. dt) 0. round in
     if wall > 0. then float_of_int (List.length round) /. wall else 0.
   in
@@ -615,30 +578,38 @@ let serve_bench ~out () =
     let n = List.length one_round in
     List.filteri (fun i _ -> i < n) round
   in
-  (* Result identity across every round and both store configurations:
-     the store must be invisible in the responses. *)
+  let warm_ratio r =
+    let w = round_rps r.on_warm in
+    if w > 0. then round_rps r.on_restart /. w else 0.
+  in
+  (* Store-on restart round (steady traffic) vs restart-cold: the
+     store-off restarted daemon's first pass, where every prepared
+     bundle has to be recomputed from scratch. *)
+  let on_off_ratio r =
+    let off = round_rps (first_pass r.off_restart) in
+    if off > 0. then round_rps r.on_restart /. off else 0.
+  in
+  (* Result identity across every round of every repeat and both store
+     configurations: the store must be invisible in the responses. *)
   let restart_identical =
+    let all_rounds =
+      List.concat_map
+        (fun r ->
+          [ r.on_cold; r.on_warm; r.on_restart; r.off_cold; r.off_warm;
+            r.off_restart ])
+        repeats
+    in
     List.for_all
-      (fun ((name, _, r0) : string * float * string) ->
+      (fun (name, _, r0) ->
         List.for_all
-          (fun round ->
-            List.exists
-              (fun (n, _, r) -> n = name && r = r0)
-              round)
-          [ on_warm; on_restart; off_cold; off_warm; off_restart ])
-      on_cold
+          (List.exists (fun (n, _, r) -> n = name && r = r0))
+          all_rounds)
+      (List.hd repeats).on_cold
   in
-  let restart_warm_ratio =
-    let w = round_rps on_warm in
-    if w > 0. then round_rps on_restart /. w else 0.
-  in
-  let restart_on_off_ratio =
-    (* Store-on restart round (steady traffic) vs restart-cold: the
-       store-off restarted daemon's first pass, where every prepared
-       bundle has to be recomputed from scratch. *)
-    let off = round_rps (first_pass off_restart) in
-    if off > 0. then round_rps on_restart /. off else 0.
-  in
+  let restart_warm_ratio = Timing.median (List.map warm_ratio repeats) in
+  let restart_on_off_ratio = Timing.median (List.map on_off_ratio repeats) in
+  (* the rounds reported in full: the repeat with the median warm ratio *)
+  let shown = List.find (fun r -> warm_ratio r = restart_warm_ratio) repeats in
   let restart_pass =
     restart_identical && restart_warm_ratio >= 0.8
     && restart_on_off_ratio >= 2.0
@@ -694,7 +665,7 @@ let serve_bench ~out () =
             List.iter (fun (_, f, _) -> try Sys.remove f with Sys_error _ -> ())
               files)
           (fun () ->
-            let t0 = Unix.gettimeofday () in
+            let t0 = Timing.now () in
             List.iter
               (fun (name, file, mode) ->
                 let cmd =
@@ -705,19 +676,15 @@ let serve_bench ~out () =
                     seeds fuel
                 in
                 let rc = Sys.command cmd in
-                if rc > 3 then begin
-                  Printf.eprintf
-                    "bench serve: one-shot baseline failed on %s (exit %d)\n"
-                    name rc;
-                  exit 1
-                end)
+                if rc > 3 then
+                  die "one-shot baseline failed on %s (exit %d)" name rc)
               files;
-            ("subprocess", Unix.gettimeofday () -. t0))
+            ("subprocess", Timing.now () -. t0))
     | None ->
         prerr_endline
           "bench serve: arde binary not found (set ARDE_BIN); falling back \
            to in-process baseline";
-        let t0 = Unix.gettimeofday () in
+        let t0 = Timing.now () in
         List.iter
           (fun (_, text, mode) ->
             Arde.Analysis_cache.clear ();
@@ -729,7 +696,7 @@ let serve_bench ~out () =
                      ~ctx:(Arde.Driver.ctx ~options ())
                      ~mode (Arde.Input.Program p)))
           one_round;
-        ("in-process", Unix.gettimeofday () -. t0)
+        ("in-process", Timing.now () -. t0)
   in
 
   (* ---- chaos phase: the same serving stack under injected crashes ----
@@ -740,66 +707,34 @@ let serve_bench ~out () =
      sealed for each kill. *)
   let chaos_kill_every = 5 in
   let chaos_path = path ^ ".chaos" in
-  let chaos_srv =
-    match
-      S.create
-        (S.config ~workers:2 ~max_pending:256 ~restart_backoff_ms:20
-           ~chaos_plan:(Printf.sprintf "kill:%d" chaos_kill_every)
-           ~socket_path:chaos_path ())
-    with
-    | Ok t -> t
-    | Error e ->
-        prerr_endline ("bench serve: chaos: " ^ e);
-        exit 1
-  in
-  let chaos_runner = Domain.spawn (fun () -> S.run chaos_srv) in
-  let chaos_indexed = List.mapi (fun i r -> (i, r)) one_round in
-  let chaos_t0 = Unix.gettimeofday () in
-  let chaos_domains =
-    List.init clients (fun cnum ->
-        Domain.spawn (fun () ->
-            List.filter_map
-              (fun (i, (name, text, mode)) ->
-                if i mod clients <> cnum then None
-                else
+  let chaos_results, chaos_wall, chaos_sup =
+    with_daemon "chaos: "
+      (S.config ~workers:2 ~max_pending:256 ~restart_backoff_ms:20
+         ~chaos_plan:(Printf.sprintf "kill:%d" chaos_kill_every)
+         ~socket_path:chaos_path ())
+      (fun () ->
+        let t0 = Timing.now () in
+        let results =
+          fan_out one_round (fun cnum mine ->
+              List.map
+                (fun (i, (name, text, mode)) ->
                   let policy =
                     C.retry_policy ~attempts:10 ~backoff_ms:10
                       ~max_backoff_ms:200 ~jitter_seed:(cnum + i) ()
                   in
                   let outcome, retries =
-                    C.submit_with_retry ~endpoint:(C.Unix_socket chaos_path) ~policy
-                      ~program:text ~mode ~options ()
+                    C.submit_with_retry ~endpoint:(C.Unix_socket chaos_path)
+                      ~policy ~program:text ~mode ~options ()
                   in
-                  Some
-                    (match outcome with
-                    | Ok resp when P.response_ok resp -> `Ok retries
-                    | Ok resp ->
-                        `Failed
-                          (Printf.sprintf "%s: %s" name
-                             (match P.response_error resp with
-                             | Some (c, m) -> c ^ ": " ^ m
-                             | None -> "refused"))
-                    | Error e -> `Failed (name ^ ": " ^ e)))
-              chaos_indexed))
+                  match outcome with
+                  | Ok resp when P.response_ok resp -> `Ok retries
+                  | Ok resp -> `Failed (name ^ ": " ^ error_text resp)
+                  | Error e -> `Failed (name ^ ": " ^ e))
+                mine)
+        in
+        let wall = Timing.now () -. t0 in
+        (results, wall, supervision chaos_path))
   in
-  let chaos_results = List.concat_map Domain.join chaos_domains in
-  let chaos_wall = Unix.gettimeofday () -. chaos_t0 in
-  let chaos_sup =
-    match C.connect ~endpoint:(C.Unix_socket chaos_path) () with
-    | Error _ -> J.Null
-    | Ok cl ->
-        Fun.protect
-          ~finally:(fun () -> C.close cl)
-          (fun () ->
-            match C.stats cl with
-            | Ok resp ->
-                Option.value ~default:J.Null
-                  (Option.bind (J.member "stats" resp)
-                     (J.member "supervision"))
-            | Error _ -> J.Null)
-  in
-  S.initiate_drain chaos_srv;
-  Domain.join chaos_runner;
   let chaos_ok =
     List.length (List.filter (function `Ok _ -> true | _ -> false) chaos_results)
   in
@@ -831,25 +766,14 @@ let serve_bench ~out () =
     && chaos_bundles > 0
   in
 
-  let pctls sample =
-    let sorted = Array.of_list (List.sort compare sample) in
-    let pctl q =
-      let n = Array.length sorted in
-      if n = 0 then 0.
-      else
-        sorted.(max 0
-                  (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
-    in
-    (pctl 0.50, pctl 0.95, pctl 0.99, pctl 1.0)
-  in
+  let ms q sample = 1000. *. Timing.percentile q sample in
   let latency_json sample =
-    let p50, p95, p99, pmax = pctls sample in
     J.Obj
       [
-        ("p50", J.Float (1000. *. p50));
-        ("p95", J.Float (1000. *. p95));
-        ("p99", J.Float (1000. *. p99));
-        ("max", J.Float (1000. *. pmax));
+        ("p50", J.Float (ms 0.50 sample));
+        ("p95", J.Float (ms 0.95 sample));
+        ("p99", J.Float (ms 0.99 sample));
+        ("max", J.Float (ms 1.0 sample));
       ]
   in
   let served_rps =
@@ -857,7 +781,7 @@ let serve_bench ~out () =
   in
   (* The warm phase's own throughput: the warm rounds ran concurrently
      with the cold round, so sum per-request latency and divide by the
-     effective parallelism instead of slicing wall time. *)
+     effective parallelism instead of slicing elapsed time. *)
   let sum = List.fold_left ( +. ) 0. in
   let phase_rps sample =
     if sample = [] then 0.
@@ -876,7 +800,17 @@ let serve_bench ~out () =
     && restart_pass
   in
   let all_lat = List.map snd latencies in
-  let json =
+  let round_json (round : served list) =
+    let lats = List.map (fun (_, dt, _) -> dt) round in
+    J.Obj
+      [
+        ("requests", J.Int (List.length round));
+        ("throughput_rps", J.Float (round_rps round));
+        ("first_pass_rps", J.Float (round_rps (first_pass round)));
+        ("latency_ms", latency_json lats);
+      ]
+  in
+  let artifact =
     J.Obj
       [
         ("bench", J.String "serve");
@@ -919,7 +853,7 @@ let serve_bench ~out () =
               ("ok", J.Int (List.length latencies));
               ("refused", J.Int (List.length refused));
               ("dropped", J.Int (List.length dropped));
-              ("supervision", supervision);
+              ("supervision", supervision_stats);
             ] );
         ( "oneshot",
           J.Obj
@@ -930,16 +864,6 @@ let serve_bench ~out () =
               ("throughput_rps", J.Float oneshot_rps);
             ] );
         ( "restart",
-          let round_json round =
-            let lats = List.map (fun (_, dt, _) -> dt) round in
-            J.Obj
-              [
-                ("requests", J.Int (List.length round));
-                ("throughput_rps", J.Float (round_rps round));
-                ("first_pass_rps", J.Float (round_rps (first_pass round)));
-                ("latency_ms", latency_json lats);
-              ]
-          in
           J.Obj
             [
               ( "requests_per_round",
@@ -950,21 +874,32 @@ let serve_bench ~out () =
               ( "store_on",
                 J.Obj
                   [
-                    ("cold", round_json on_cold);
-                    ("warm", round_json on_warm);
-                    ("restart_warm", round_json on_restart);
+                    ("cold", round_json shown.on_cold);
+                    ("warm", round_json shown.on_warm);
+                    ("restart_warm", round_json shown.on_restart);
                   ] );
               ( "store_off",
                 J.Obj
                   [
-                    ("cold", round_json off_cold);
-                    ("warm", round_json off_warm);
-                    ("restart_warm", round_json off_restart);
+                    ("cold", round_json shown.off_cold);
+                    ("warm", round_json shown.off_warm);
+                    ("restart_warm", round_json shown.off_restart);
                   ] );
-              ("store_stats", !restart_store_stats);
+              ("store_stats", shown.store_stats);
               ("results_identical", J.Bool restart_identical);
               ("restart_warm_over_warm", J.Float restart_warm_ratio);
               ("restart_warm_over_restart_cold", J.Float restart_on_off_ratio);
+              ( "repeats",
+                J.List
+                  (List.map
+                     (fun r ->
+                       J.Obj
+                         [
+                           ("restart_warm_over_warm", J.Float (warm_ratio r));
+                           ( "restart_warm_over_restart_cold",
+                             J.Float (on_off_ratio r) );
+                         ])
+                     repeats) );
               ("min_restart_warm_over_warm", J.Float 0.8);
               ("min_restart_warm_over_restart_cold", J.Float 2.0);
               ("pass", J.Bool restart_pass);
@@ -995,112 +930,106 @@ let serve_bench ~out () =
             ] );
       ]
   in
-  let oc = open_out out in
-  output_string oc (J.to_string ~minify:false json);
-  output_char oc '\n';
-  close_out oc;
-  section "Serve: daemon vs one-shot `arde run`, same request mix";
-  let _, w95, _, _ = pctls warm in
-  let a50, a95, a99, _ = pctls all_lat in
-  Printf.printf
-    "%d requests, %d clients: served %.2f req/s (p50 %.0f ms, p95 %.0f ms, \
-     p99 %.0f ms)\n\
-     warm rounds %.2f req/s (p95 %.0f ms); one-shot (%s) %.2f req/s\n\
-     warm-cache speedup %.2fx (overall %.2fx)\n"
-    n_requests clients served_rps (1000. *. a50) (1000. *. a95) (1000. *. a99)
-    warm_rps (1000. *. w95) oneshot_kind oneshot_rps warm_speedup
-    overall_speedup;
-  Printf.printf
-    "restart: store on — cold %.2f, warm %.2f, restart-warm %.2f req/s; \
-     restart-cold (store off, first pass) %.2f req/s\n\
-     restart-warm/warm %.2fx (gate >= 0.8), restart-warm/restart-cold \
-     %.2fx (gate >= 2.0), results %s\n"
-    (round_rps (first_pass on_cold)) (round_rps on_warm)
-    (round_rps on_restart)
-    (round_rps (first_pass off_restart))
-    restart_warm_ratio restart_on_off_ratio
-    (if restart_identical then "identical" else "DIVERGED");
-  Printf.printf
-    "chaos (kill:%d): %d/%d ok, %d retries, %d crashes, %d restarts, %d \
-     bundles sealed\n"
-    chaos_kill_every chaos_ok (List.length one_round) chaos_retries
-    chaos_crashes chaos_restarts chaos_bundles;
-  Printf.printf "wrote %s\n" out;
-  List.iter (Printf.eprintf "bench serve: refused: %s\n") refused;
-  List.iter (Printf.eprintf "bench serve: dropped: %s\n") dropped;
-  List.iter (Printf.eprintf "bench serve: chaos failed: %s\n") chaos_failed;
-  if not ci_pass then begin
-    Printf.eprintf
-      "bench serve: FAIL: %d refused, %d dropped, warm speedup %.2fx, chaos \
-       %s, restart %s (gate: 0 refused, 0 dropped, >= 1.0x, chaos pass, \
-       restart-warm >= 0.8x warm and >= 2x restart-cold with identical \
-       results)\n"
-      (List.length refused) (List.length dropped) warm_speedup
-      (if chaos_pass then "pass" else "FAIL")
-      (if restart_pass then "pass" else "FAIL");
-    exit 1
-  end
+  let text =
+    heading "Serve: daemon vs one-shot `arde run`, same request mix"
+    ^ Printf.sprintf
+        "%d requests, %d clients: served %.2f req/s (p50 %.0f ms, p95 %.0f \
+         ms, p99 %.0f ms)\n\
+         warm rounds %.2f req/s (p95 %.0f ms); one-shot (%s) %.2f req/s\n\
+         warm-cache speedup %.2fx (overall %.2fx)\n"
+        n_requests clients served_rps (ms 0.50 all_lat) (ms 0.95 all_lat)
+        (ms 0.99 all_lat) warm_rps (ms 0.95 warm) oneshot_kind oneshot_rps
+        warm_speedup overall_speedup
+    ^ Printf.sprintf
+        "restart (median of %d repeats): store on — cold %.2f, warm %.2f, \
+         restart-warm %.2f req/s; restart-cold (store off, first pass) \
+         %.2f req/s\n\
+         restart-warm/warm %.2fx (gate >= 0.8; repeats %s), \
+         restart-warm/restart-cold %.2fx (gate >= 2.0; repeats %s), \
+         results %s\n"
+        restart_repeats
+        (round_rps (first_pass shown.on_cold))
+        (round_rps shown.on_warm) (round_rps shown.on_restart)
+        (round_rps (first_pass shown.off_restart))
+        restart_warm_ratio
+        (String.concat " "
+           (List.map (fun r -> Printf.sprintf "%.2f" (warm_ratio r)) repeats))
+        restart_on_off_ratio
+        (String.concat " "
+           (List.map (fun r -> Printf.sprintf "%.2f" (on_off_ratio r)) repeats))
+        (if restart_identical then "identical" else "DIVERGED")
+    ^ Printf.sprintf
+        "chaos (kill:%d): %d/%d ok, %d retries, %d crashes, %d restarts, %d \
+         bundles sealed\n"
+        chaos_kill_every chaos_ok (List.length one_round) chaos_retries
+        chaos_crashes chaos_restarts chaos_bundles
+  in
+  let failures =
+    List.map (( ^ ) "refused: ") refused
+    @ List.map (( ^ ) "dropped: ") dropped
+    @ List.map (( ^ ) "chaos failed: ") chaos_failed
+    @
+    if ci_pass then []
+    else
+      [
+        Printf.sprintf
+          "%d refused, %d dropped, warm speedup %.2fx, chaos %s, restart %s \
+           (gate: 0 refused, 0 dropped, >= 1.0x, chaos pass, restart-warm \
+           >= 0.8x warm and >= 2x restart-cold with identical results)"
+          (List.length refused) (List.length dropped) warm_speedup
+          (if chaos_pass then "pass" else "FAIL")
+          (if restart_pass then "pass" else "FAIL");
+      ]
+  in
+  json ~text ~failures artifact
+
+(* ---- the subcommand table ---- *)
+
+let subcommands ~reference =
+  [
+    ("parallel", "BENCH_parallel.json", parallel_bench);
+    ("engine", "BENCH_engine.json", engine_bench);
+    ("machine", "BENCH_machine.json", machine_bench);
+    ("replay", "BENCH_replay.json", replay_bench);
+    ("predict", "BENCH_predict.json", predict_bench);
+    ("serve", "BENCH_serve.json", serve_bench);
+    ("fixtures", "test/fixtures/machine_traces.txt", fixtures ~reference);
+  ]
+
+let usage () =
+  prerr_string
+    "usage: main.exe                         every table and figure\n\
+    \       main.exe SUBCOMMAND [-o PATH]    one measured artifact\n\
+    \       main.exe fixtures [--ref] [-o PATH]\n\
+     subcommands (default output):\n";
+  List.iter
+    (fun (name, out, _) -> Printf.eprintf "  %-10s %s\n" name out)
+    (subcommands ~reference:false);
+  exit 2
 
 let () =
   (* The serve benchmark hosts a supervisor whose workers re-exec this
      very binary; the hook must intercept the marker first. *)
   Arde_server.Worker.hook ();
-  let args = List.tl (Array.to_list Sys.argv) in
-  let rec out_path = function
-    | "-o" :: p :: _ -> p
-    | _ :: rest -> out_path rest
-    | [] -> "BENCH_parallel.json"
-  in
-  if List.mem "fixtures" args then
-    fixtures
-      ~impl:
-        (if List.mem "--ref" args then
-           Arde_harness.Trace_fixtures.reference_machine
-         else Arde_harness.Trace_fixtures.current_machine)
-      ~out:
-        (match out_path args with
-        | "BENCH_parallel.json" -> "test/fixtures/machine_traces.txt"
-        | p -> p)
-      ()
-  else if List.mem "machine" args then
-    machine_bench
-      ~out:
-        (match out_path args with
-        | "BENCH_parallel.json" -> "BENCH_machine.json"
-        | p -> p)
-      ()
-  else if List.mem "engine" args then
-    engine_bench
-      ~out:
-        (match out_path args with
-        | "BENCH_parallel.json" -> "BENCH_engine.json"
-        | p -> p)
-      ()
-  else if List.mem "replay" args then
-    replay_bench
-      ~out:
-        (match out_path args with
-        | "BENCH_parallel.json" -> "BENCH_replay.json"
-        | p -> p)
-      ()
-  else if List.mem "predict" args then
-    predict_bench
-      ~out:
-        (match out_path args with
-        | "BENCH_parallel.json" -> "BENCH_predict.json"
-        | p -> p)
-      ()
-  else if List.mem "parallel" args then parallel_bench ~out:(out_path args) ()
-  else if List.mem "serve" args then
-    serve_bench
-      ~out:
-        (match out_path args with
-        | "BENCH_parallel.json" -> "BENCH_serve.json"
-        | p -> p)
-      ()
-  else begin
-    tables ();
-    extension_table ();
-    figures ();
-    bechamel_suite ()
-  end
+  match List.tl (Array.to_list Sys.argv) with
+  | [] ->
+      tables ();
+      extension_table ();
+      figures ();
+      bechamel_suite ()
+  | sub :: flags -> (
+      let rec parse out reference = function
+        | [] -> Some (out, reference)
+        | "-o" :: p :: rest -> parse (Some p) reference rest
+        | "--ref" :: rest when sub = "fixtures" -> parse out true rest
+        | _ -> None
+      in
+      match parse None false flags with
+      | None -> usage ()
+      | Some (out, reference) -> (
+          match
+            List.find_opt (fun (n, _, _) -> n = sub) (subcommands ~reference)
+          with
+          | None -> usage ()
+          | Some (name, default, run) ->
+              emit ~name ~out:(Option.value out ~default) (run ())))

@@ -1570,13 +1570,13 @@ let postmortem_cmd =
                       | Some j when j > 0 -> j
                       | _ -> Arde.Domain_pool.default_jobs ())
                 in
-                let started = Unix.gettimeofday () in
+                let started = Arde_server.Util.now () in
                 let should_stop =
                   match req.P.rq_deadline_ms with
                   | None -> fun () -> false
                   | Some ms ->
                       fun () ->
-                        (Unix.gettimeofday () -. started) *. 1000.
+                        (Arde_server.Util.now () -. started) *. 1000.
                         > float_of_int ms
                 in
                 let detect ?options ?program_digest ?mode input =

@@ -33,14 +33,6 @@ type row = {
   b_reports_equal : bool; (* byte-identical report JSON on this trace *)
 }
 
-let median l =
-  let a = List.sort compare l in
-  List.nth a (List.length a / 2)
-
-let alloc_words () =
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-
 (* One recorded execution of [program] under [mode]'s program form, with
    whatever instrumentation the mode wants active in the machine.  The
    static half comes from the driver's own {!Arde.Analysis_cache}. *)
@@ -63,8 +55,9 @@ let record_trace info program mode ~fuel ~seed =
   ignore (Machine.run cfg p.Arde.Analysis_cache.p_compiled);
   (Trace.events trace, instrument, p.Arde.Analysis_cache.p_cv_mutexes)
 
-(* Replay [events] through fresh engines built by [make], [repeats] times
-   plus a discarded warm-up; median time and allocation per repetition.
+(* Replay [events] through fresh engines built by [make] outside the
+   timed window, [repeats] times plus a discarded warm-up; median time
+   and allocation per repetition.
    Each repetition streams the trace [inner] times through the same
    engine, so short workload traces still yield a steady-state
    measurement: the first pass populates the shadow state, the rest
@@ -72,23 +65,19 @@ let record_trace info program mode ~fuel ~seed =
    claim is about. *)
 let replay ~make ~repeats ~inner events =
   let events = Array.of_list events in
-  let times = ref [] and allocs = ref [] in
-  for rep = 0 to repeats do
-    let observe = make () in
-    let a0 = alloc_words () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to inner do
-      for i = 0 to Array.length events - 1 do
-        observe (Array.unsafe_get events i)
-      done
-    done;
-    let t = Unix.gettimeofday () -. t0 in
-    if rep > 0 then begin
-      times := t :: !times;
-      allocs := (alloc_words () -. a0) :: !allocs
-    end
-  done;
-  (median !times, median !allocs)
+  let observer = ref ignore in
+  let time_s, words, () =
+    Timing.timed ~repeats
+      ~setup:(fun () -> observer := make ())
+      (fun () ->
+        let observe = !observer in
+        for _ = 1 to inner do
+          for i = 0 to Array.length events - 1 do
+            observe (Array.unsafe_get events i)
+          done
+        done)
+  in
+  (time_s, words)
 
 let side_of ~n_events ~inner (time_s, alloc) =
   let n = float_of_int (max 1 (n_events * inner)) in
@@ -97,27 +86,27 @@ let side_of ~n_events ~inner (time_s, alloc) =
     words_per_event = alloc /. n;
   }
 
-let bench_one ?(repeats = 3) info program mode ~fuel ~seed =
-  let events, instrument, cv_mutexes = record_trace info program mode ~fuel ~seed in
+(* One row: [events] replayed through both engines, built with the
+   same capacity and condition-variable mutexes. *)
+let bench_trace ~repeats ~workload ~mode ?threads ?cv_mutexes ~instrument
+    events =
   let n_events = List.length events in
   let detector_cfg = Config.make mode in
-  let make_opt () =
-    Arde.Engine.observer
-      (Arde.Engine.create ~cv_mutexes detector_cfg ~instrument)
+  let opt () =
+    Arde.Engine.create ?threads ?cv_mutexes detector_cfg ~instrument
   in
-  let make_ref () =
-    Arde.Engine_ref.observer
-      (Arde.Engine_ref.create ~cv_mutexes detector_cfg ~instrument)
+  let ref_ () =
+    Arde.Engine_ref.create ?threads ?cv_mutexes detector_cfg ~instrument
   in
   (* enough passes that each timed repetition streams ~200k events *)
   let inner = max 1 (200_000 / max 1 n_events) in
-  let opt = side_of ~n_events ~inner (replay ~make:make_opt ~repeats ~inner events) in
-  let ref_ = side_of ~n_events ~inner (replay ~make:make_ref ~repeats ~inner events) in
+  let side make = side_of ~n_events ~inner (replay ~make ~repeats ~inner events) in
+  let opt_side = side (fun () -> Arde.Engine.observer (opt ())) in
+  let ref_side = side (fun () -> Arde.Engine_ref.observer (ref_ ())) in
   (* Differential spot check on this exact trace: reports and spin edges
      must agree byte for byte. *)
   let reports_equal =
-    let e = Arde.Engine.create ~cv_mutexes detector_cfg ~instrument in
-    let r = Arde.Engine_ref.create ~cv_mutexes detector_cfg ~instrument in
+    let e = opt () and r = ref_ () in
     List.iter (Arde.Engine.observer e) events;
     List.iter (Arde.Engine_ref.observer r) events;
     J.to_string (Arde.Report.to_json (Arde.Engine.report e))
@@ -125,20 +114,26 @@ let bench_one ?(repeats = 3) info program mode ~fuel ~seed =
     && Arde.Engine.n_spin_edges e = Arde.Engine_ref.n_spin_edges r
   in
   {
-    b_workload = info.Arde_workloads.Parsec.pname;
+    b_workload = workload;
     b_mode = Config.mode_name mode;
     b_events = n_events;
-    b_ref = ref_;
-    b_opt = opt;
+    b_ref = ref_side;
+    b_opt = opt_side;
     b_speedup =
-      (if ref_.events_per_s > 0. then opt.events_per_s /. ref_.events_per_s
+      (if ref_side.events_per_s > 0. then
+         opt_side.events_per_s /. ref_side.events_per_s
        else 0.);
     b_alloc_ratio =
-      (if ref_.words_per_event > 0. then
-         opt.words_per_event /. ref_.words_per_event
+      (if ref_side.words_per_event > 0. then
+         opt_side.words_per_event /. ref_side.words_per_event
        else 0.);
     b_reports_equal = reports_equal;
   }
+
+let bench_one ?(repeats = 3) info program mode ~fuel ~seed =
+  let events, instrument, cv_mutexes = record_trace info program mode ~fuel ~seed in
+  bench_trace ~repeats ~workload:info.Arde_workloads.Parsec.pname ~mode
+    ~cv_mutexes ~instrument events
 
 let default_workloads = [ "streamcluster"; "x264"; "blackscholes" ]
 
@@ -261,45 +256,8 @@ let synthetic_specs =
   ]
 
 let bench_synthetic ?(repeats = 3) spec =
-  let events = Lazy.force spec.s_events in
-  let n_events = List.length events in
-  let detector_cfg = Config.make spec.s_mode in
-  let instrument = None in
-  let threads = spec.s_threads in
-  let make_opt () =
-    Arde.Engine.observer (Arde.Engine.create ~threads detector_cfg ~instrument)
-  in
-  let make_ref () =
-    Arde.Engine_ref.observer
-      (Arde.Engine_ref.create ~threads detector_cfg ~instrument)
-  in
-  let inner = max 1 (200_000 / max 1 n_events) in
-  let opt = side_of ~n_events ~inner (replay ~make:make_opt ~repeats ~inner events) in
-  let ref_ = side_of ~n_events ~inner (replay ~make:make_ref ~repeats ~inner events) in
-  let reports_equal =
-    let e = Arde.Engine.create ~threads detector_cfg ~instrument in
-    let r = Arde.Engine_ref.create ~threads detector_cfg ~instrument in
-    List.iter (Arde.Engine.observer e) events;
-    List.iter (Arde.Engine_ref.observer r) events;
-    J.to_string (Arde.Report.to_json (Arde.Engine.report e))
-    = J.to_string (Arde.Report.to_json (Arde.Engine_ref.report r))
-    && Arde.Engine.n_spin_edges e = Arde.Engine_ref.n_spin_edges r
-  in
-  {
-    b_workload = spec.s_name;
-    b_mode = Config.mode_name spec.s_mode;
-    b_events = n_events;
-    b_ref = ref_;
-    b_opt = opt;
-    b_speedup =
-      (if ref_.events_per_s > 0. then opt.events_per_s /. ref_.events_per_s
-       else 0.);
-    b_alloc_ratio =
-      (if ref_.words_per_event > 0. then
-         opt.words_per_event /. ref_.words_per_event
-       else 0.);
-    b_reports_equal = reports_equal;
-  }
+  bench_trace ~repeats ~workload:spec.s_name ~mode:spec.s_mode
+    ~threads:spec.s_threads ~instrument:None (Lazy.force spec.s_events)
 
 let run ?(repeats = 3) ?(workloads = default_workloads) ?(fuel = 200_000)
     ?(seed = 1) ?(synthetic = true) () =

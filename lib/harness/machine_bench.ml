@@ -46,31 +46,6 @@ type probe = {
   p_pass : bool;
 }
 
-let median l =
-  let a = List.sort compare l in
-  List.nth a (List.length a / 2)
-
-let alloc_words () =
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-
-(* Time [repeats] full runs after one discarded warm-up; medians.  The
-   run is deterministic, so steps/events are read off any repetition. *)
-let timed ~repeats run =
-  let times = ref [] and allocs = ref [] and last = ref None in
-  for rep = 0 to repeats do
-    let a0 = alloc_words () in
-    let t0 = Unix.gettimeofday () in
-    let r = run () in
-    let t = Unix.gettimeofday () -. t0 in
-    if rep > 0 then begin
-      times := t :: !times;
-      allocs := (alloc_words () -. a0) :: !allocs
-    end;
-    last := Some r
-  done;
-  (median !times, median !allocs, Option.get !last)
-
 let bench_one ?(repeats = 3) info program mode ~fuel ~seed =
   (* the mode's program form and instrumentation, from the driver's own
      static half *)
@@ -87,12 +62,14 @@ let bench_one ?(repeats = 3) info program mode ~fuel ~seed =
      physically intact, which is what arms the optimized machine's quiet
      fast path. *)
   let quiet_cfg = { Machine.default_config with Machine.seed; fuel; instrument } in
+  (* Each run is deterministic, so steps/events are read off the last
+     timed repetition. *)
   let side runf compiled =
-    let tq, aq, res = timed ~repeats (fun () -> runf quiet_cfg compiled) in
+    let tq, aq, res = Timing.timed ~repeats (fun () -> runf quiet_cfg compiled) in
     let steps = res.Machine.steps in
     let count = ref 0 in
     let te, _, _ =
-      timed ~repeats (fun () ->
+      Timing.timed ~repeats (fun () ->
           count := 0;
           runf (cfg (fun _ -> incr count)) compiled)
     in
@@ -170,9 +147,9 @@ let straightline_probe () =
   in
   ignore (Machine.run cfg compiled);
   (* warm-up *)
-  let a0 = alloc_words () in
+  let a0 = Timing.alloc_words () in
   let res = Machine.run cfg compiled in
-  let words = alloc_words () -. a0 in
+  let words = Timing.alloc_words () -. a0 in
   let steps = max 1 res.Machine.steps in
   let wps = words /. float_of_int steps in
   {

@@ -4,8 +4,9 @@
    vector clocks, auxiliary tables), reported in detector heap words plus
    GC allocation, per workload.
 
-   F2 — runtime overhead per configuration, reported as wall-clock time
-   relative to executing the same program with no detector attached.
+   F2 — runtime overhead per configuration, reported as elapsed time on
+   the monotonic clock relative to executing the same program with no
+   detector attached.
 
    The paper's claim is relative ("minor overhead due to the new
    feature"), so we report ratios against the spin-less hybrid. *)
@@ -24,36 +25,20 @@ type sample = {
 
 type fig = { workload : string; samples : sample list }
 
-let median l =
-  let a = List.sort compare l in
-  List.nth a (List.length a / 2)
-
-let time_ns f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  (Unix.gettimeofday () -. t0) *. 1e9
-
-(* Words allocated so far, from the GC's own counters.  [quick_stat] does
-   not force a heap walk; minor + major - promoted counts every allocation
-   exactly once (promoted words would otherwise be double-counted). *)
-let alloc_words () =
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-
-(* One full instrumented execution under [mode]; [None] runs the bare
-   machine (the "native" baseline). *)
-let run_once ~seed program_native program_lowered instrument_for mode () =
+(* One full execution of [p], with the detector the driver would build
+   for [mode] attached; [None] runs the bare machine. *)
+let run_once ~seed (p : Arde.Analysis_cache.prepared) mode =
   match mode with
   | None ->
       let cfg = { Machine.default_config with Machine.seed } in
-      ignore (Machine.run cfg program_native);
+      ignore (Machine.run cfg p.p_compiled);
       0
   | Some mode ->
-      let program =
-        if Config.needs_lowering mode then program_lowered else program_native
+      let instrument = p.p_instrument in
+      let engine =
+        Engine.create ~cv_mutexes:p.p_cv_mutexes
+          ~inferred_locks:p.p_inferred_locks (Config.make mode) ~instrument
       in
-      let instrument = instrument_for mode in
-      let engine = Engine.create (Config.make mode) ~instrument in
       let cfg =
         {
           Machine.default_config with
@@ -62,45 +47,36 @@ let run_once ~seed program_native program_lowered instrument_for mode () =
           observer = Engine.observer engine;
         }
       in
-      ignore (Machine.run cfg program);
+      ignore (Machine.run cfg p.p_compiled);
       Engine.memory_words engine
 
 let measure ?(repeats = 5) (info, program) =
-  let lowered =
-    Arde.Lower.lower ~style:info.Parsec.nolib_style program
-  in
-  let native_c = Machine.compile program in
-  let lowered_c = Machine.compile lowered in
-  let inst_native = lazy (Some (Arde.Instrument.analyze ~k:7 program)) in
-  let inst_lowered = lazy (Some (Arde.Instrument.analyze ~k:7 lowered)) in
-  let instrument_for = function
-    | Config.Helgrind_lib | Config.Drd -> None
-    | Config.Helgrind_spin _ -> Lazy.force inst_native
-    | Config.Nolib_spin _ | Config.Nolib_spin_locks _ -> Lazy.force inst_lowered
-  in
   let sample name mode =
-    let times = ref [] and allocs = ref [] and words = ref 0 in
-    (* Repetition 0 is a warm-up: it pays the one-time costs (lazy
-       instrumentation analysis, hashtable growth, code paths cold in the
-       icache) and is discarded before taking the median. *)
-    for rep = 0 to repeats do
-      let a0 = alloc_words () in
-      let t =
-        time_ns (fun () ->
-            words :=
-              run_once ~seed:(max 1 rep) native_c lowered_c instrument_for
-                mode ())
-      in
-      if rep > 0 then begin
-        times := t :: !times;
-        allocs := (alloc_words () -. a0) :: !allocs
-      end
-    done;
+    (* The static half for [mode] — program form, instrumentation,
+       compiled machine, condition-variable mutexes and inferred lock
+       words — is the driver's own bundle; the bare "native" baseline
+       takes the unlowered, uninstrumented one. *)
+    let p =
+      Arde.Analysis_cache.prepare ~style:info.Parsec.nolib_style
+        ~count_callees:true
+        (Option.value mode ~default:Config.Helgrind_lib)
+        program
+    in
+    (* The warm-up pays the one-time costs (hashtable growth, code paths
+       cold in the icache); it and the first timed repetition both run
+       seed 1. *)
+    let rep = ref 0 in
+    let time_s, alloc, words =
+      Timing.timed ~repeats (fun () ->
+          let seed = max 1 !rep in
+          incr rep;
+          run_once ~seed p mode)
+    in
     {
       s_mode = name;
-      s_time_ns = median !times;
-      s_alloc_words = median !allocs;
-      s_detector_words = !words;
+      s_time_ns = time_s *. 1e9;
+      s_alloc_words = alloc;
+      s_detector_words = words;
     }
   in
   {

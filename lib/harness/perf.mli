@@ -1,12 +1,14 @@
 (** Figures 1 and 2: detector memory consumption and runtime overhead.
 
     Each workload is executed repeatedly per configuration (plus a bare
-    "none" baseline with no detector attached); an initial warm-up
-    repetition absorbs one-time costs and is discarded.  The tables
-    report median wall-clock time, GC allocation (from [Gc.quick_stat]
-    counter deltas: minor + major - promoted words), the detector's live
-    heap words, and the lib+spin / lib overhead ratio — the paper's
-    "minor overhead" claim. *)
+    "none" baseline with no detector attached) on the driver's own
+    prepared bundle ({!Arde.Analysis_cache.prepare}: program form,
+    instrumentation, compiled machine, CV mutexes, inferred locks); an
+    initial warm-up repetition absorbs one-time costs and is discarded.
+    The tables report median elapsed time (monotonic clock), GC
+    allocation (from [Gc.quick_stat] counter deltas: minor + major -
+    promoted words), the detector's live heap words, and the lib+spin /
+    lib overhead ratio — the paper's "minor overhead" claim. *)
 
 type sample = {
   s_mode : string; (* "none" for the bare machine *)

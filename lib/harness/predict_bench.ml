@@ -47,22 +47,6 @@ type summary = {
 
 type t = { rows : row list; timing : timing; summary : summary }
 
-let median l =
-  let a = List.sort compare l in
-  List.nth a (List.length a / 2)
-
-(* Median wall time of [repeats] runs after one discarded warm-up. *)
-let timed ~repeats run =
-  let times = ref [] and last = ref None in
-  for rep = 0 to repeats do
-    let t0 = Unix.gettimeofday () in
-    let r = run () in
-    let t = Unix.gettimeofday () -. t0 in
-    if rep > 0 then times := t :: !times;
-    last := Some r
-  done;
-  (median !times, Option.get !last)
-
 (* A context key matching the merge's identity: base plus the unordered
    pair of access locations. *)
 let context_keys report =
@@ -76,13 +60,13 @@ let context_keys report =
 let bench_case ~fuel ~seeds (case : Arde_workloads.Racey.case) mode =
   let options = Options.make ~seeds ~fuel () in
   let input = Arde.Input.Program case.program in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Timing.now () in
   let sweep = Arde.detect ~ctx:(Driver.ctx ~options ()) ~mode input in
-  let sweep_s = Unix.gettimeofday () -. t0 in
+  let sweep_s = Timing.now () -. t0 in
   let poptions = Options.with_analysis Options.Predict options in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Timing.now () in
   let pred = Arde.detect ~ctx:(Driver.ctx ~options:poptions ()) ~mode input in
-  let predict_s = Unix.gettimeofday () -. t0 in
+  let predict_s = Timing.now () -. t0 in
   let pred_keys = context_keys pred.Driver.merged in
   let sweep_keys = context_keys sweep.Driver.merged in
   let missed =
@@ -149,8 +133,8 @@ let time_parsec ~repeats ~fuel ~seeds =
   | Some (_info, program) ->
       let options = Options.make ~seeds ~fuel () in
       let input = Arde.Input.Program program in
-      let sweep_s, sweep =
-        timed ~repeats (fun () ->
+      let sweep_s, _, sweep =
+        Timing.timed ~repeats (fun () ->
             Arde.detect ~ctx:(Driver.ctx ~options ()) ~mode:timing_mode input)
       in
       let record_ctx =
@@ -172,8 +156,8 @@ let time_parsec ~repeats ~fuel ~seeds =
       let pctx =
         Driver.ctx ~options:(Options.with_analysis Options.Predict options) ()
       in
-      let predict_s, _ =
-        timed ~repeats (fun () ->
+      let predict_s, _, _ =
+        Timing.timed ~repeats (fun () ->
             Arde.detect ~ctx:pctx (Arde.Input.Recorded_trace recorded))
       in
       {

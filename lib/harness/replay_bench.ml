@@ -26,22 +26,6 @@ type row = {
   r_identical : bool;
 }
 
-let median l =
-  let a = List.sort compare l in
-  List.nth a (List.length a / 2)
-
-(* Median wall time of [repeats] runs after one discarded warm-up. *)
-let timed ~repeats run =
-  let times = ref [] and last = ref None in
-  for rep = 0 to repeats do
-    let t0 = Unix.gettimeofday () in
-    let r = run () in
-    let t = Unix.gettimeofday () -. t0 in
-    if rep > 0 then times := t :: !times;
-    last := Some r
-  done;
-  (median !times, Option.get !last)
-
 (* Machine-only overhead: the same compiled program and seed, quiet
    (default observer — the fast path stays armed) vs recording (a fresh
    sink per repetition, as the driver attaches one per seed). *)
@@ -49,10 +33,10 @@ let sink_overhead compiled instrument ~fuel ~seed ~repeats =
   let quiet_cfg =
     { Machine.default_config with Machine.seed; fuel; instrument }
   in
-  let tq, res = timed ~repeats (fun () -> Machine.run quiet_cfg compiled) in
+  let tq, _, res = Timing.timed ~repeats (fun () -> Machine.run quiet_cfg compiled) in
   let steps = res.Machine.steps in
-  let tr, _ =
-    timed ~repeats (fun () ->
+  let tr, _, _ =
+    Timing.timed ~repeats (fun () ->
         let sink = Codec.sink () in
         Machine.run
           { quiet_cfg with Machine.observer = Codec.sink_observer sink }
@@ -89,11 +73,11 @@ let bench_one ~repeats info program mode ~fuel ~seeds =
     | Ok r -> r
     | Error e -> failwith (Printf.sprintf "load %s: %s" name e)
   in
-  let live_s, _ =
-    timed ~repeats (fun () -> Arde.detect ~ctx ~mode input)
+  let live_s, _, _ =
+    Timing.timed ~repeats (fun () -> Arde.detect ~ctx ~mode input)
   in
-  let replay_s, replayed =
-    timed ~repeats (fun () ->
+  let replay_s, _, replayed =
+    Timing.timed ~repeats (fun () ->
         Arde.detect ~ctx (Arde.Input.Recorded_trace recorded))
   in
   let events = Arde.Recorded.n_events recorded in

@@ -256,16 +256,10 @@ let parse_line line =
                 (int_of_string_opt steps)))
   | _ -> None
 
-let write_file path rows =
-  let oc = open_out path in
-  output_string oc
-    "# machine golden-trace fixtures: key<TAB>events<TAB>hash<TAB>steps<TAB>outcome\n";
-  List.iter
-    (fun row ->
-      output_string oc (encode_line row);
-      output_char oc '\n')
-    rows;
-  close_out oc
+let to_string rows =
+  String.concat ""
+    ("# machine golden-trace fixtures: key<TAB>events<TAB>hash<TAB>steps<TAB>outcome\n"
+    :: List.map (fun row -> encode_line row ^ "\n") rows)
 
 let read_file path =
   let ic = open_in path in

@@ -64,5 +64,8 @@ val run_all : impl -> (string * summary) list
 
 val encode_line : string * summary -> string
 val parse_line : string -> (string * summary) option
-val write_file : string -> (string * summary) list -> unit
+val to_string : (string * summary) list -> string
+(** The fixture file's contents: a comment header, then one
+    {!encode_line} per row. *)
+
 val read_file : string -> (string * summary) list

@@ -180,7 +180,7 @@ let stats_json t =
   let spool = Supervisor.spool t.sup in
   J.Obj
     [
-      ("uptime_s", J.Float (Unix.gettimeofday () -. t.started));
+      ("uptime_s", J.Float (Util.now () -. t.started));
       ( "requests",
         J.Obj
           [
@@ -872,7 +872,7 @@ let create cfg =
                   retries = 0;
                   spool_errors = 0;
                 };
-              started = Unix.gettimeofday ();
+              started = Util.now ();
               drain_requested = Atomic.make false;
               job_seq = 0;
             }

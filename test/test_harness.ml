@@ -82,6 +82,30 @@ let test_perf_measure () =
       Alcotest.(check bool) "figure1 renders" true (contains f1 "blackscholes");
       Alcotest.(check bool) "figure2 renders" true (contains f2 "blackscholes")
 
+let test_timing_timed () =
+  let calls = ref 0 in
+  let _, _, last =
+    Arde_harness.Timing.timed ~repeats:3 (fun () ->
+        incr calls;
+        !calls)
+  in
+  Alcotest.(check int) "one warm-up plus three repeats" 4 !calls;
+  Alcotest.(check int) "last result" 4 last
+
+let test_timing_median () =
+  let m = Arde_harness.Timing.median in
+  Alcotest.(check (float 0.)) "odd" 2. (m [ 3.; 1.; 2. ]);
+  Alcotest.(check (float 0.)) "even: upper middle" 3. (m [ 4.; 1.; 3.; 2. ]);
+  Alcotest.(check (float 0.)) "singleton" 5. (m [ 5. ])
+
+let test_timing_now_monotone () =
+  let prev = ref (Arde_harness.Timing.now ()) in
+  for _ = 1 to 10_000 do
+    let t = Arde_harness.Timing.now () in
+    if t < !prev then Alcotest.failf "now went back: %f < %f" t !prev;
+    prev := t
+  done
+
 let suite =
   [
     Alcotest.test_case "run_mode tallies" `Quick test_run_mode_tallies;
@@ -93,4 +117,9 @@ let suite =
     Alcotest.test_case "parsec inventory table" `Quick test_inventory_table;
     Alcotest.test_case "parsec row shape" `Quick test_parsec_row_shape;
     Alcotest.test_case "perf measurement" `Slow test_perf_measure;
+    Alcotest.test_case "timing: timed discards one warm-up" `Quick
+      test_timing_timed;
+    Alcotest.test_case "timing: median" `Quick test_timing_median;
+    Alcotest.test_case "timing: now never decreases" `Quick
+      test_timing_now_monotone;
   ]
